@@ -9,8 +9,9 @@ kernel step backends (an agent is informed exactly when its words carry
 implementations here instead of hand-rolling their own.
 
 * :func:`popcount` -- vectorized element-wise population count of an
-  unsigned/signed integer ndarray, via the classic 8-bit lookup on the
-  raw bytes;
+  unsigned/signed integer ndarray, via ``numpy.bitwise_count`` where
+  numpy has it (2.0+) and the classic 8-bit lookup on the raw bytes
+  otherwise;
 * :func:`popcount64` -- scalar Kernighan popcount of one word, written
   njit-compatibly (plain loops, no numpy calls) so the numba backend
   compiles it and the interpreted kernel twin runs it unchanged.
@@ -21,7 +22,10 @@ import it, and the rest of the package imports the core simulator.
 
 import numpy as np
 
-#: Population counts of every byte value; the lookup behind :func:`popcount`.
+#: numpy's native element-wise popcount (numpy >= 2.0), or None.
+_bitwise_count = getattr(np, "bitwise_count", None)
+
+#: Population counts of every byte value; the fallback behind :func:`popcount`.
 _BYTE_COUNTS = np.array(
     [bin(value).count("1") for value in range(256)], dtype=np.uint8
 )
@@ -41,6 +45,11 @@ def popcount(values):
             f"popcount needs an integer array, got dtype {array.dtype}"
         )
     itemsize = array.dtype.itemsize
+    if _bitwise_count is not None:
+        # counted on the unsigned view, so negative values keep their
+        # two's-complement count
+        unsigned = array.view(np.dtype(f"u{itemsize}"))
+        return _bitwise_count(unsigned).astype(np.int64)
     flat = np.ascontiguousarray(array).reshape(-1)
     per_byte = _BYTE_COUNTS[flat.view(np.uint8)]
     counts = per_byte.reshape(flat.size, itemsize).sum(axis=1, dtype=np.int64)

@@ -35,6 +35,19 @@ The stepper is built for throughput:
   the unsolved lanes (the expensive tail of a 1003-field suite).
 * **Exchange early-out** -- when a step changes no lane's knowledge the
   success check is skipped entirely.
+* **Cycle parking** -- a lane on a finite torus is a finite deterministic
+  system, so every unsolved lane ends in a cycle, and once its whole
+  state (positions, headings, control states, colours, knowledge)
+  repeats its knowledge can never change again.  ``run(t_max)`` checks
+  at the step times ``t`` with ``(t_max - t) % CYCLE_PERIOD == 0`` whether
+  a lane's state equals its snapshot from ``t - CYCLE_PERIOD``, and parks
+  such lanes outside the working set.  The check is exact: transitions
+  are deterministic and the rule varies in time only with a period that
+  divides ``CYCLE_PERIOD`` (time-shuffling alternates by parity), so a
+  repeat proves a period dividing ``CYCLE_PERIOD``; the check times are
+  aligned to ``t_max``, so the parked state *is* the lane's state at
+  ``t_max``.  ``run`` then reports ``t = t_max`` exactly as if the lanes
+  had been stepped, and returns them to the working set.
 
 Two padded sentinel cells per lane make borders branch-free: cell ``N``
 is the *void* (exchange across a border reaches nothing), cell ``N + 1``
@@ -50,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.backends import resolve_backend
+from repro.core.bits import popcount
 from repro.core.environment import Environment
 from repro.core.metrics import FITNESS_WEIGHT
 from repro.core.simulation import SimulationResult
@@ -57,6 +71,14 @@ from repro.perf.counters import StepCounters
 
 #: Bits per knowledge word.
 _WORD_BITS = 64
+
+#: Step distance of the cycle-parking check; any lane period dividing it
+#: (fixed points, period 2, 3, 4 and 6 spins, 12-step loops) is caught.
+CYCLE_PERIOD = 12
+
+#: Rows per fancy-index copy when compacting or comparing snapshots,
+#: bounding the temporaries when thousands of lanes park at once.
+_ROW_CHUNK = 128
 
 
 def _pack_identity(n_lanes, n_agents):
@@ -168,10 +190,11 @@ class BatchSimulator:
         colours are small exact integers, so results are unchanged and
         the public ``colors`` view still reads as ``int64``.
 
-    Lanes are compacted as they finish, so the row order of the internal
-    working arrays is *not* the lane order; the public views (``px``,
-    ``py``, ``direction``, ``state``, ``colors``, ``knowledge``) always
-    present lanes in their original order.  ``done`` and ``t_comm`` are
+    Lanes are compacted as they finish (and while ``run`` has them
+    parked), so the row order of the internal working arrays is *not*
+    the lane order; the public views (``px``, ``py``, ``direction``,
+    ``state``, ``colors``, ``knowledge``) always present lanes in their
+    original order.  ``done`` and ``t_comm`` are
     plain per-lane arrays in original order.
     """
 
@@ -377,9 +400,25 @@ class BatchSimulator:
             (n_lanes, self._n_padded), n_agents, dtype=np.int64
         )
 
+        # -- cycle-parking snapshot: each active row's state at _cycle_t --
+        self._cyc_key = ints()  # (pos * dirs + dir) * states + state
+        self._cyc_known = np.empty(n_lanes, dtype=np.int64)  # knowledge bits
+        # colours lie in 0 .. n_colors - 1: int8 holds up to 128 exactly
+        self._cyc_colors = np.empty(
+            (n_lanes, n_cells),
+            dtype=np.int8 if self.n_colors <= 128 else self._color_dtype,
+        )
+        self._cycle_t = None
+
         # -- lane compaction bookkeeping (original order is public) -------
         self._lane_order = np.arange(n_lanes, dtype=np.int64)
         self._n_active = n_lanes
+        self._row_arrays = (
+            self._pos, self._direction, self._state, self._species,
+            self._lane_order, self._colors_pad, self._occ_pad,
+            self._know_padded, self._cyc_key, self._cyc_known,
+            self._cyc_colors,
+        )
 
         self.counters = StepCounters()
         self.t = 0
@@ -477,30 +516,74 @@ class BatchSimulator:
             self._retire(solved)
 
     def _retire(self, solved):
-        """Record and compact the newly solved active lanes.
-
-        Compaction is swap-based: each solved row in the surviving head is
-        exchanged with an unsolved row from the tail, so the copy cost is
-        proportional to the number of lanes retiring, not the batch size.
-        """
+        """Record and compact the newly solved active lanes."""
         n = self._n_active
         finished = self._lane_order[:n][solved]
         self.done[finished] = True
         self.t_comm[finished] = self.t
-        n_gone = int(np.count_nonzero(solved))
-        new_n = n - n_gone
-        dst = np.nonzero(solved[:new_n])[0]
-        if dst.size:
-            src = np.nonzero(~solved[new_n:])[0] + new_n
-            for array in (
-                self._pos, self._direction, self._state, self._species,
-                self._lane_order, self._colors_pad, self._occ_pad,
-                self._know_padded,
-            ):
-                array[dst], array[src] = array[src], array[dst]
-        self._n_active = new_n
+        self._n_active = self._sink(0, solved)
         self.counters.compactions += 1
-        self.counters.retired_lanes += n_gone
+        self.counters.retired_lanes += n - self._n_active
+
+    def _sink(self, start, sinking):
+        """Move the flagged rows of ``[start, start + len(sinking))`` behind
+        the unflagged ones; returns the first flagged row afterwards.
+
+        Compaction is swap-based: each flagged row in the surviving head is
+        exchanged with an unflagged row from the tail, so the copy cost is
+        proportional to the rows moving, not the batch size.
+        """
+        boundary = start + sinking.size - int(np.count_nonzero(sinking))
+        dst = np.flatnonzero(sinking[: boundary - start]) + start
+        src = np.flatnonzero(~sinking[boundary - start:]) + boundary
+        for lo in range(0, dst.size, _ROW_CHUNK):
+            d, s = dst[lo:lo + _ROW_CHUNK], src[lo:lo + _ROW_CHUNK]
+            for array in self._row_arrays:
+                array[d], array[s] = array[s], array[d]
+        return boundary
+
+    def _park_cycles(self):
+        """Park the active lanes whose state repeats ``CYCLE_PERIOD`` steps
+        after the last snapshot, then snapshot every active row.
+
+        Agents are compared by one key each and knowledge by its bit count
+        (knowledge only gains bits, so equal counts mean equal knowledge);
+        colours are compared only where both of those already match.
+        Returns the number of lanes parked.
+        """
+        n = self._n_active
+        key = self._b_idx[:n]
+        np.multiply(self._pos[:n], self._n_directions, out=key)
+        np.add(key, self._direction[:n], out=key)
+        np.multiply(key, self.n_states, out=key)
+        np.add(key, self._state[:n], out=key)
+        known = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, _ROW_CHUNK):
+            hi = min(n, lo + _ROW_CHUNK)
+            known[lo:hi] = popcount(self._know_padded[lo:hi]).sum(axis=(1, 2))
+        colors = self._colors_pad[:n, : self._n_cells]
+        cycled = None
+        if self._cycle_t == self.t - CYCLE_PERIOD:
+            cycled = (key == self._cyc_key[:n]).all(axis=1)
+            cycled &= known == self._cyc_known[:n]
+            rows = np.flatnonzero(cycled)
+            for lo in range(0, rows.size, _ROW_CHUNK):
+                chunk = rows[lo:lo + _ROW_CHUNK]
+                cycled[chunk] = (
+                    colors[chunk] == self._cyc_colors[chunk]
+                ).all(axis=1)
+        self._cyc_key[:n] = key
+        self._cyc_known[:n] = known
+        self._cyc_colors[:n] = colors
+        self._cycle_t = self.t
+        if cycled is None or not cycled.any():
+            return 0
+        # a parked row's snapshot equals its state at every later check
+        # time of this run, so it stays valid while the row is parked
+        self._n_active = self._sink(0, cycled)
+        self.counters.compactions += 1
+        self.counters.cycled_lanes += n - self._n_active
+        return n - self._n_active
 
     def step(self):
         """Advance every unfinished lane by one synchronous CA step."""
@@ -514,9 +597,22 @@ class BatchSimulator:
         self._exchange_and_check()
 
     def run(self, t_max=200):
-        """Simulate until every lane solved the task or ``t_max`` is hit."""
+        """Simulate until every lane solved the task or ``t_max`` is hit.
+
+        Lanes proven periodic are parked instead of stepped (see "Cycle
+        parking" in the module docstring); results, ``t`` and every public
+        view are exactly those of stepping them, and parked lanes are
+        active again when ``run`` returns.
+        """
+        parked = 0
         while self._n_active and self.t < t_max:
+            if (t_max - self.t) % CYCLE_PERIOD == 0:
+                parked += self._park_cycles()
             self.step()
+        if parked:
+            self.t = t_max
+            n = self._n_active
+            self._n_active = self._sink(n, self.done[self._lane_order[n:]])
         return BatchResult(
             success=self.done.copy(),
             t_comm=self.t_comm.copy(),

@@ -6,10 +6,12 @@ cost nothing measurable per step but make the effect of every fast-path
 mechanism observable:
 
 * ``lane_steps < n_lanes * steps`` proves lane compaction is shedding
-  solved lanes from the working set;
+  solved and parked lanes from the working set;
 * ``exchange_early_outs`` counts steps whose knowledge exchange changed
   nothing and skipped the success check;
-* ``retired_lanes`` / ``compactions`` trace when lanes left the batch.
+* ``retired_lanes`` / ``compactions`` trace when lanes left the batch;
+* ``cycled_lanes`` counts lanes parked by cycle detection (unsolved lanes
+  whose whole state repeated, see :mod:`repro.core.vectorized`).
 
 This module must stay import-light: the core simulator imports it, and
 the rest of :mod:`repro.perf` imports the core simulator.
@@ -26,8 +28,9 @@ class StepCounters:
     lane_steps: int = 0            # sum of active lanes over those steps
     exchanges: int = 0             # exchange passes (incl. the placement one)
     exchange_early_outs: int = 0   # exchanges skipped: no knowledge changed
-    compactions: int = 0           # retire passes that shrank the batch
-    retired_lanes: int = 0         # lanes moved out of the working set
+    compactions: int = 0           # retire/park passes that shrank the batch
+    retired_lanes: int = 0         # solved lanes moved out of the working set
+    cycled_lanes: int = 0          # periodic unsolved lanes parked by run()
 
     def as_dict(self):
         """Plain-dict view for JSON reports."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import bits
 from repro.core.bits import popcount, popcount64
 
 
@@ -46,6 +47,18 @@ class TestPopcount:
         words = np.array(values, dtype=np.uint64)
         expected = [bin(v).count("1") for v in values]
         assert popcount(words).tolist() == expected
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_native_and_byte_lookup_paths_agree(self, native, monkeypatch):
+        if not native:
+            monkeypatch.setattr(bits, "_bitwise_count", None)
+        elif bits._bitwise_count is None:
+            pytest.skip("this numpy has no bitwise_count")
+        values = np.array([0, -1, -2, 7, np.iinfo(np.int64).min],
+                          dtype=np.int64).reshape(5, 1)
+        counts = popcount(values)
+        assert counts.dtype == np.int64 and counts.shape == (5, 1)
+        assert counts.ravel().tolist() == [0, 64, 63, 3, 1]
 
 
 class TestPopcount64:

@@ -155,8 +155,7 @@ def resolve_backend(name=None):
 
 
 def make_batch_simulator(grid, fsms=None, configs=(), state_scheme=None,
-                         environment=None, agent_fsms=None, backend=None,
-                         color_dtype=None):
+                         environment=None, agent_fsms=None, backend=None):
     """A batch simulator on the chosen backend; the one constructor to use.
 
     Every backend returns an object with the shared simulator surface
@@ -164,24 +163,18 @@ def make_batch_simulator(grid, fsms=None, configs=(), state_scheme=None,
     ``informed_counts``).  ``backend="legacy"`` builds the frozen
     :class:`repro.perf.reference.LegacyBatchSimulator`; everything else
     is a :class:`repro.core.vectorized.BatchSimulator` bound to that
-    backend.  ``color_dtype`` (e.g. ``numpy.float32``) selects the
-    colour-field storage dtype; results stay bit-exact because colours
-    are small exactly-representable integers.
+    backend.
     """
     if isinstance(backend, StepBackend):
         from repro.core.vectorized import BatchSimulator
         return BatchSimulator(
             grid, fsms, configs, state_scheme=state_scheme,
             environment=environment, agent_fsms=agent_fsms,
-            backend=backend, color_dtype=color_dtype,
+            backend=backend,
         )
     name = normalize_backend_name(backend)
     if name == "legacy":
         from repro.perf.reference import LegacyBatchSimulator
-        if color_dtype is not None:
-            raise ValueError(
-                "the frozen legacy simulator has no colour-dtype option"
-            )
         return LegacyBatchSimulator(
             grid, fsms, configs, state_scheme=state_scheme,
             environment=environment, agent_fsms=agent_fsms,
@@ -190,7 +183,6 @@ def make_batch_simulator(grid, fsms=None, configs=(), state_scheme=None,
     return BatchSimulator(
         grid, fsms, configs, state_scheme=state_scheme,
         environment=environment, agent_fsms=agent_fsms, backend=name,
-        color_dtype=color_dtype,
     )
 
 

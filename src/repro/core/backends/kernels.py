@@ -20,9 +20,10 @@ the lowest-id conflict winners, pass 3 performs all writes using only
 the pass-2 captures.  Agents occupy distinct cells and movement targets
 are unoccupied by construction, so the pass-3 writes never alias.
 
-Colour fields may be int64 or float32; colour values are small exact
-integers, so the float round-trip is lossless and every backend stays
-bit-exact.
+The colour, occupancy and conflict-arena fields and the FSM tables are
+narrow integers (int8, or int16 for big alphabets and agent counts); the
+kernels read them as plain integers and every value they store fits, so
+every backend stays bit-exact.
 """
 
 from repro.core.backends import StepBackend
@@ -158,7 +159,7 @@ class _KernelBackend(StepBackend):
             sim._move.reshape(-1), sim._turn.reshape(-1),
             sim._front_flat, sim._turn_increments,
             sim._colors_pad, sim._occ_pad, sim._winner,
-            sim._b_front, sim._b_x, sim._m_req, sim._m_focc,
+            sim._b_front, sim._b_wide, sim._m_req, sim._m_focc,
         )
 
     def exchange_active(self, sim, n):

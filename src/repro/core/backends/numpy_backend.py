@@ -1,19 +1,25 @@
-"""The default vectorized step backend: the numpy fast path, verbatim.
+"""The default vectorized step backend: the numpy fast path.
 
-This is the optimized inner loop exactly as it lived inside
-:class:`repro.core.vectorized.BatchSimulator` before the backend
-refactor -- precomputed neighbour kernels, zero-allocation stepping over
-preallocated scratch buffers, the one-word knowledge fast path --
-relocated behind :class:`repro.core.backends.StepBackend` without
-changing a single arithmetic operation.  The fast-path test suite pins
-it bit-exact against both the scalar reference simulation and the
-frozen legacy stepper.
+One synchronous CA step over all active lanes at once, as a fixed
+sequence of whole-array ``take`` gathers, scatters and elementwise ufuncs
+over the simulator's preallocated scratch buffers: precomputed neighbour
+and rotation kernels, zero-allocation stepping, and a one-word knowledge
+fast path.  Every operation writes into an ``out=`` buffer, and the
+choice among ufuncs is made by measured cost per lane-step:
 
-The only addition is the optional float32 colour field: when the
-simulator stores colours as ``float32`` (halving the per-lane field
-footprint on big worlds), gathers go through a float scratch row and
-are cast back to the int64 working scratch.  Colours are small exact
-integers, so the cast is lossless and the results stay bit-exact.
+* cell fields and FSM tables are gathered into scratch of their own
+  narrow dtype (int8/int16); a narrow value that builds a table index is
+  first copied into int64 scratch, so no narrow arithmetic can overflow
+  (and a widening copy plus a same-dtype ufunc beats a mixed-dtype one);
+* masked copies are written as arithmetic selects,
+  ``a + mask * (b - a)``, which numpy runs several times faster than
+  ``copyto(..., where=mask)``;
+* the heading update is one gather from the rotation table rather than
+  an add and a ``remainder``.
+
+The fast-path and backend test suites pin it bit-exact against the
+scalar reference simulation, the frozen legacy stepper and the
+interpreted kernel twin.
 """
 
 import numpy as np
@@ -53,38 +59,31 @@ class NumpyStepBackend(StepBackend):
         np.add(pos, row_pad, out=here_g)
         np.add(front, row_pad, out=front_g)
 
-        color = sim._b_val[:n]
-        frontcolor = sim._b_val2[:n]
-        if colors_flat.dtype == np.int64:
-            np.take(colors_flat, here_g, out=color)
-            np.take(colors_flat, front_g, out=frontcolor)
-        else:
-            # float32 colour fields: gather into the float scratch, then
-            # cast into the int64 working scratch (values are exact)
-            fcolor = sim._b_fcolor[:n]
-            np.take(colors_flat, here_g, out=fcolor)
-            np.copyto(color, fcolor, casting="unsafe")
-            np.take(colors_flat, front_g, out=fcolor)
-            np.copyto(frontcolor, fcolor, casting="unsafe")
-        occ_front = sim._b_occ[:n]
-        np.take(occ_flat, front_g, out=occ_front)
+        color = sim._b_color[:n]
+        frontcolor = sim._b_frontcolor[:n]
+        np.take(colors_flat, here_g, out=color)
+        np.take(colors_flat, front_g, out=frontcolor)
+        occupant = sim._b_occ[:n]
+        np.take(occ_flat, front_g, out=occupant)
         front_occupied = sim._m_focc[:n]
-        np.not_equal(occ_front, 0, out=front_occupied)
+        np.not_equal(occupant, 0, out=front_occupied)
 
-        # phase 1: desire = move output assuming not blocked
-        # (x = blocked + 2 * (color + n_colors * frontcolor); for the
-        # paper's two colours this is the Fig. 3 bit packing)
-        x = sim._b_x[:n]
-        np.multiply(frontcolor, sim.n_colors, out=x)
-        np.add(x, color, out=x)
-        np.multiply(x, 2, out=x)
-        sbase = sim._b_sbase[:n]
-        np.multiply(species, table_size, out=sbase)
+        # phase 1: desire = move output assuming not blocked.  The table
+        # row is x * n_states + state with x = blocked + 2 * (color +
+        # n_colors * frontcolor) (for the paper's two colours, the Fig. 3
+        # bit packing); the colours are widened by copy before any
+        # arithmetic, so it all runs in int64
         tidx = sim._b_tidx[:n]
-        np.multiply(x, n_states, out=tidx)
+        wide = sim._b_wide[:n]
+        np.copyto(tidx, frontcolor)
+        np.multiply(tidx, sim.n_colors, out=tidx)
+        np.copyto(wide, color)
+        np.add(tidx, wide, out=tidx)
+        np.multiply(tidx, 2 * n_states, out=tidx)
         np.add(tidx, state, out=tidx)
-        np.add(tidx, sbase, out=tidx)
-        move_out = sim._b_val[:n]  # colour already folded into x
+        np.multiply(species, table_size, out=wide)
+        np.add(tidx, wide, out=tidx)
+        move_out = sim._b_move[:n]
         np.take(sim._move.reshape(-1), tidx, out=move_out)
         requests = sim._m_req[:n]
         not_buf = sim._m_not[:n]
@@ -99,18 +98,26 @@ class NumpyStepBackend(StepBackend):
         if n_agents <= 32:
             # write requesters' ids in descending agent order; the last
             # (lowest) id written to a contested cell wins.  Non-requesters
-            # are redirected to their lane's void cell, which nobody reads.
+            # are redirected to their lane's void cell, which nobody reads:
+            # target = front_g + not_requesting * (void - front)
             target = sim._b_idx[:n]
-            np.copyto(target, front_g)
-            np.copyto(target, sim._row_void[:n], where=not_buf)
+            np.subtract(sim._void, front, out=target)
+            np.multiply(target, not_buf, out=target)
+            np.add(target, front_g, out=target)
             for agent in range(n_agents - 1, -1, -1):
                 winner_flat[target[:, agent]] = agent
         else:
-            candidate = sim._b_idx[:n]
-            np.copyto(candidate, agent_ids)
-            np.copyto(candidate, n_agents, where=not_buf)
-            np.minimum.at(winner_flat, front_g, candidate)
-        won = sim._b_val2[:n]  # front colour already folded into x
+            # candidate = agent id, or n_agents (never wins) when not
+            # requesting.  minimum.at keeps its fast path only for 1-D
+            # operands with values in the arena's dtype
+            candidate = sim._b_occ[:n]
+            np.subtract(n_agents, agent_ids, out=candidate)
+            np.multiply(candidate, not_buf, out=candidate)
+            np.add(candidate, agent_ids, out=candidate)
+            np.minimum.at(
+                winner_flat, front_g.reshape(-1), candidate.reshape(-1)
+            )
+        won = sim._b_occ[:n]
         np.take(winner_flat, front_g, out=won)
         lost = sim._m_lost[:n]
         np.not_equal(won, agent_ids, out=lost)
@@ -118,17 +125,17 @@ class NumpyStepBackend(StepBackend):
         blocked = sim._m_blk[:n]
         np.logical_or(front_occupied, lost, out=blocked)
 
-        # phase 2: the actual FSM row (x_free is even, so | blocked == +)
-        np.add(x, blocked, out=x, casting="unsafe")
-        np.multiply(x, n_states, out=tidx)
-        np.add(tidx, state, out=tidx)
-        np.add(tidx, sbase, out=tidx)
-        next_state = sim._b_next[:n]
-        set_color = sim._b_setc[:n]
+        # phase 2: the actual FSM row, x + blocked (x_free is even, so
+        # | blocked == +), i.e. the phase-1 index + blocked * n_states
+        np.multiply(blocked, n_states, out=wide)
+        np.add(tidx, wide, out=tidx)
+        set_color = sim._b_color[:n]  # own colour is not read again
         turn_code = sim._b_turn[:n]
-        np.take(sim._next_state.reshape(-1), tidx, out=next_state)
         np.take(sim._set_color.reshape(-1), tidx, out=set_color)
         np.take(sim._turn.reshape(-1), tidx, out=turn_code)
+        next_state = sim._b_next[:n]
+        np.take(sim._next_state.reshape(-1), tidx, out=next_state)
+        np.copyto(state, next_state)
         movers = sim._m_mov[:n]
         np.logical_not(lost, out=not_buf)
         np.logical_and(requests, not_buf, out=movers)  # == move & not blocked
@@ -137,29 +144,38 @@ class NumpyStepBackend(StepBackend):
         colors_flat[here_g] = set_color
 
         # simultaneous movement: winners are unique per target cell, and
-        # no target coincides with any agent's (occupied) old cell
+        # no target coincides with any agent's (occupied) old cell.
+        # step = movers * (front - pos) moves both the flat position and
+        # its global field index
         occ_value = sim._b_occ[:n]
+        np.logical_not(movers, out=not_buf)
         np.add(agent_ids, 1, out=occ_value)
-        np.copyto(occ_value, 0, where=movers)
+        np.multiply(occ_value, not_buf, out=occ_value)
         occ_flat[here_g] = occ_value
+        step = front  # the front cell is not read again this step
+        np.subtract(front, pos, out=step)
+        np.multiply(step, movers, out=step)
         target = sim._b_idx[:n]
-        np.copyto(target, here_g)
-        np.copyto(target, front_g, where=movers)
+        np.add(here_g, step, out=target)
         np.add(agent_ids, 1, out=occ_value)
         occ_flat[target] = occ_value
-        np.copyto(pos, front, where=movers)
+        np.add(pos, step, out=pos)
 
-        turn_inc = sim._b_tidx[:n]
-        np.take(sim._turn_increments, turn_code, out=turn_inc)
-        np.add(direction, turn_inc, out=direction)
-        np.remainder(direction, sim._n_directions, out=direction)
-        np.copyto(state, next_state)
+        # heading: one gather from the (direction, turn) rotation table
+        rotate_idx = sim._b_tidx[:n]
+        np.multiply(direction, sim._n_turns, out=rotate_idx)
+        np.copyto(wide, turn_code)
+        np.add(rotate_idx, wide, out=rotate_idx)
+        np.take(sim._rotate, rotate_idx, out=direction)
 
     def exchange_active(self, sim, n):
         n_words = sim._mask.size
         pos = sim._pos[:n]
         nbr = sim._b_idx[:n]
         gidx = sim._b_front_g[:n]
+        occupant = sim._b_occ[:n]
+        row_pad = sim._row_pad[:n]
+        row_know = sim._row_know[:n]
         occ_flat = sim._occ_pad.reshape(-1)
         gather = sim._w_gather[:n]
         np.copyto(gather, sim._know_padded[:n, 1:, :])
@@ -173,10 +189,11 @@ class NumpyStepBackend(StepBackend):
             direction_words = sim._w_dir[:n]
         for d in range(sim._n_directions):
             np.take(sim._neigh_table[d], pos, out=nbr)
-            np.add(nbr, sim._row_pad[:n], out=gidx)
-            np.take(occ_flat, gidx, out=nbr)          # neighbour agent ids
-            np.maximum(nbr, 0, out=nbr)               # obstacles relay nothing
-            np.add(nbr, sim._row_know[:n], out=gidx)
+            np.add(nbr, row_pad, out=gidx)
+            # neighbour agent ids; obstacle neighbours read the void's 0
+            np.take(occ_flat, gidx, out=occupant)
+            np.copyto(gidx, occupant)
+            np.add(gidx, row_know, out=gidx)
             if n_words == 1:
                 np.take(know_flat, gidx, out=direction_words)
                 np.bitwise_or(gather_2d, direction_words, out=gather_2d)

@@ -23,9 +23,19 @@ backend is bit-exact by construction and differs only in throughput.
 The stepper is built for throughput:
 
 * **Precomputed neighbour kernels** -- per-cell x per-direction flat
-  lookup tables for exchange neighbours and front cells are built once at
-  construction, with torus wrap and border walls folded in; the hot loop
-  is pure ``take``/gather with no modulo arithmetic.
+  lookup tables for exchange neighbours and front cells, and a
+  (heading, turn) rotation table, are built once at construction, with
+  torus wrap, border walls and obstacles folded in; the hot loop is pure
+  ``take``/gather with no modulo arithmetic.
+* **Narrow cell fields** -- the colour field, the occupancy field and the
+  conflict arena are stored in the narrowest signed integer that holds
+  their values: colours in int8 while ``n_colors <= 127`` (else int16),
+  occupancy and arena, which hold ``-1 .. k + 1``, in int8 while
+  ``k + 1 <= 127`` (else int16).  The per-lane FSM tables follow the
+  same rule.  At thousands of lanes an int64 field or table no longer
+  fits the L2 cache, so this cuts gather and scatter traffic.  It stays
+  exact because every stored value fits its dtype, and every table index
+  built from a narrow value is computed in int64.
 * **Zero-allocation stepping** -- every per-step temporary (gathered
   knowledge, conflict winners, request masks, table indices) lives in a
   scratch buffer allocated once; steady-state ``step()`` performs no
@@ -79,6 +89,15 @@ CYCLE_PERIOD = 12
 #: Rows per fancy-index copy when compacting or comparing snapshots,
 #: bounding the temporaries when thousands of lanes park at once.
 _ROW_CHUNK = 128
+
+
+def _narrow_int(top):
+    """The narrowest signed integer dtype holding every value in
+    ``-1 .. top``."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _pack_identity(n_lanes, n_agents):
@@ -184,11 +203,10 @@ class BatchSimulator:
         Step backend name or instance (see :mod:`repro.core.backends`);
         ``None`` follows ``REPRO_BACKEND`` and defaults to ``"numpy"``.
         Every backend is bit-exact; only throughput differs.
-    color_dtype:
-        Storage dtype of the colour fields (default ``int64``).  Pass
-        ``numpy.float32`` to halve the field footprint on big worlds;
-        colours are small exact integers, so results are unchanged and
-        the public ``colors`` view still reads as ``int64``.
+
+    The colour and occupancy fields are stored narrow (see "Narrow cell
+    fields" in the module docstring); the public ``colors`` and
+    ``occupancy`` views always read as ``int64``.
 
     Lanes are compacted as they finish (and while ``run`` has them
     parked), so the row order of the internal working arrays is *not*
@@ -199,14 +217,11 @@ class BatchSimulator:
     """
 
     def __init__(self, grid, fsms=None, configs=(), state_scheme=None,
-                 environment=None, agent_fsms=None, backend=None,
-                 color_dtype=None):
+                 environment=None, agent_fsms=None, backend=None):
         configs = list(configs)
         if not configs:
             raise ValueError("need at least one configuration lane")
         self._backend = resolve_backend(backend)
-        self._color_dtype = np.dtype(np.int64 if color_dtype is None
-                                     else color_dtype)
         self.grid = grid
         self.environment = environment or Environment.cyclic(grid)
         self.n_lanes = len(configs)
@@ -253,20 +268,34 @@ class BatchSimulator:
             getattr(fsm, "n_colors", 2) != self.n_colors for fsm in species_list
         ):
             raise ValueError("all lane FSMs must share the colour alphabet")
+        self._color_dtype = _narrow_int(self.n_colors)
+        # occupancy and conflict arena: -1 obstacle .. k + 1 wall
+        self._occ_dtype = _narrow_int(self.n_agents + 1)
 
         size = grid.size
         self._n_cells = size * size
-        self._next_state = np.stack(
-            [f.next_state for f in species_list]
-        ).astype(np.int64)
-        self._set_color = np.stack([f.set_color for f in species_list]).astype(np.int64)
-        self._move = np.stack([f.move for f in species_list]).astype(np.int64)
-        self._turn = np.stack([f.turn for f in species_list]).astype(np.int64)
+        self._turn_increments = np.asarray(grid.turn_table(), dtype=np.int64)
+        self._n_turns = self._turn_increments.size
+
+        # FSM tables, each in the narrowest dtype of its range (set colours
+        # share the colour field's), so the tables stay cache resident
+        def table(field, top):
+            rows = [getattr(fsm, field) for fsm in species_list]
+            return np.stack(rows).astype(_narrow_int(top))
+
+        self._next_state = table("next_state", self.n_states)
+        self._set_color = table("set_color", self.n_colors)
+        self._move = table("move", 1)
+        self._turn = table("turn", self._n_turns)
 
         dx, dy = grid.direction_deltas()
         self._dx, self._dy = dx, dy
-        self._turn_increments = np.asarray(grid.turn_table(), dtype=np.int64)
         self._n_directions = grid.n_directions
+        # heading after a turn: _rotate[direction * n_turns + turn_code]
+        self._rotate = (
+            np.arange(self._n_directions, dtype=np.int64)[:, None]
+            + self._turn_increments[None, :]
+        ).reshape(-1) % self._n_directions
         self._bordered = self.environment.bordered
 
         n_lanes, n_agents, n_cells = self.n_lanes, self.n_agents, self._n_cells
@@ -277,6 +306,8 @@ class BatchSimulator:
         # keep the hot loop branch-free:
         #   cell N      void: an exchange partner that relays nothing
         #   cell N + 1  wall: a front cell that blocks and reads colour 0
+        # Obstacles never move and relay nothing, so exchange neighbours
+        # that are obstacles are redirected to the void as well.
         cell = np.arange(n_cells, dtype=np.int64)
         self._cell_x = cell // size
         self._cell_y = cell % size
@@ -298,6 +329,10 @@ class BatchSimulator:
             else:
                 neigh[d] = wrapped
                 front[d] = wrapped
+        obstacle = np.zeros(n_cells + 1, dtype=bool)  # + 1: the void
+        for ox, oy in self.environment.obstacles:
+            obstacle[ox * size + oy] = True
+        neigh[obstacle[neigh]] = self._void
         self._neigh_table = neigh
         self._front_flat = front.reshape(-1)
 
@@ -328,20 +363,20 @@ class BatchSimulator:
             (n_lanes, self._n_padded), dtype=self._color_dtype
         )
         self._colors_pad[:, :n_cells] = starting
-        self._occ_pad = np.zeros((n_lanes, self._n_padded), dtype=np.int64)
+        self._occ_pad = np.zeros(
+            (n_lanes, self._n_padded), dtype=self._occ_dtype
+        )
         for ox, oy in self.environment.obstacles:
             self._occ_pad[:, ox * size + oy] = -1
         self._occ_pad[:, self._wall] = n_agents + 1
 
-        self._row_pad = (
-            np.arange(n_lanes, dtype=np.int64) * self._n_padded
-        )[:, None]
-        self._row_void = self._row_pad + self._void
-        self._row_know = (
-            np.arange(n_lanes, dtype=np.int64) * (n_agents + 1)
-        )[:, None]
+        # per-row flat offsets, full (B, k) shape: a same-shape add is
+        # several times faster than a (B, 1) broadcast
+        lanes = np.arange(n_lanes, dtype=np.int64)[:, None]
+        self._row_pad = np.repeat(lanes * self._n_padded, n_agents, axis=1)
+        self._row_know = np.repeat(lanes * (n_agents + 1), n_agents, axis=1)
         self._agent_ids = np.tile(
-            np.arange(n_agents, dtype=np.int64), (n_lanes, 1)
+            np.arange(n_agents, dtype=self._occ_dtype), (n_lanes, 1)
         )
 
         occ_flat = self._occ_pad.reshape(-1)
@@ -368,15 +403,16 @@ class BatchSimulator:
         self._b_front = ints()    # front cell per agent
         self._b_here_g = ints()   # global padded-field index of the own cell
         self._b_front_g = ints()  # global padded-field index of the front cell
-        self._b_val = ints()      # colour / move output / occupancy value
-        self._b_val2 = ints()     # front colour / conflict winner
-        self._b_x = ints()        # FSM input combination
-        self._b_tidx = ints()     # table index / turn increment
-        self._b_sbase = ints()    # species row offset into the flat tables
-        self._b_next = ints()
-        self._b_setc = ints()
-        self._b_turn = ints()
-        self._b_occ = ints()
+        self._b_wide = ints()     # int64 copy of a narrow value / row offset
+        self._b_tidx = ints()     # table index
+        # narrow scratch, one per field or table dtype
+        narrow = lambda like: np.empty((n_lanes, n_agents), dtype=like.dtype)  # noqa: E731
+        self._b_color = narrow(self._colors_pad)       # own colour / set colour
+        self._b_frontcolor = narrow(self._colors_pad)  # front cell colour
+        self._b_occ = narrow(self._occ_pad)  # occupant / winner / new value
+        self._b_move = narrow(self._move)
+        self._b_next = narrow(self._next_state)
+        self._b_turn = narrow(self._turn)
         self._m_req = bools()     # move requests
         self._m_focc = bools()    # front occupied / blocked front
         self._m_lost = bools()    # lost the conflict
@@ -387,26 +423,19 @@ class BatchSimulator:
         self._m_informed = bools()
         self._m_tmp = bools()
         self._b_solved = np.empty(n_lanes, dtype=bool)
-        if self._color_dtype != np.int64:
-            # colour gathers land here before the lossless int64 cast
-            self._b_fcolor = np.empty(
-                (n_lanes, n_agents), dtype=self._color_dtype
-            )
         self._w_gather = np.empty((n_lanes, n_agents, n_words), dtype=np.uint64)
         self._w_dir = np.empty_like(self._w_gather)
         # conflict arena: never cleared wholesale -- each step scatter-resets
         # exactly the (at most B * k) front cells it is about to contest
         self._winner = np.full(
-            (n_lanes, self._n_padded), n_agents, dtype=np.int64
+            (n_lanes, self._n_padded), n_agents, dtype=self._occ_dtype
         )
 
         # -- cycle-parking snapshot: each active row's state at _cycle_t --
         self._cyc_key = ints()  # (pos * dirs + dir) * states + state
         self._cyc_known = np.empty(n_lanes, dtype=np.int64)  # knowledge bits
-        # colours lie in 0 .. n_colors - 1: int8 holds up to 128 exactly
         self._cyc_colors = np.empty(
-            (n_lanes, n_cells),
-            dtype=np.int8 if self.n_colors <= 128 else self._color_dtype,
+            (n_lanes, n_cells), dtype=self._color_dtype
         )
         self._cycle_t = None
 
@@ -463,19 +492,17 @@ class BatchSimulator:
 
     @property
     def colors(self):
-        """Colour fields, shape ``(B, M * M)``, original lane order.
-
-        Always ``int64``, whatever the storage ``color_dtype``.
-        """
-        colors = self._colors_pad[:, : self._n_cells]
-        if colors.dtype != np.int64:
-            colors = colors.astype(np.int64)
-        return self._by_lane(colors)
+        """Colour fields, shape ``(B, M * M)``, original lane order, as
+        ``int64`` whatever the narrow storage dtype."""
+        return self._by_lane(
+            self._colors_pad[:, : self._n_cells].astype(np.int64)
+        )
 
     @property
     def occupancy(self):
-        """Occupancy fields, shape ``(B, M * M)``, original lane order."""
-        return self._by_lane(self._occ_pad[:, : self._n_cells])
+        """Occupancy fields, shape ``(B, M * M)``, original lane order, as
+        ``int64`` whatever the narrow storage dtype."""
+        return self._by_lane(self._occ_pad[:, : self._n_cells].astype(np.int64))
 
     @property
     def knowledge(self):

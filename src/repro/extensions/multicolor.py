@@ -178,6 +178,9 @@ class MulticolorSimulation(Simulation):
             raise TypeError("MulticolorSimulation needs a MulticolorFSM")
         super().__init__(grid, fsm, config, recorder=recorder,
                          environment=environment)
+        if fsm.n_colors - 1 > np.iinfo(self.colors.dtype).max:
+            # the base colour field is int8; wider alphabets need more
+            self.colors = self.colors.astype(np.int64)
 
     def _desires_move(self, agent, color, frontcolor):
         return self.fsm.desires_move(agent.state, color, frontcolor)

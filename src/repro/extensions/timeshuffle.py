@@ -78,8 +78,12 @@ class TimeShuffledBatchSimulator(BatchSimulator):
             self._next_state, self._set_color, self._move, self._turn,
         )
         self._tables_odd = tuple(
-            np.stack([getattr(fsm, field) for fsm in odd_list]).astype(np.int64)
-            for field in ("next_state", "set_color", "move", "turn")
+            np.stack([getattr(fsm, field) for fsm in odd_list]).astype(
+                even.dtype
+            )
+            for field, even in zip(
+                ("next_state", "set_color", "move", "turn"), self._tables_even
+            )
         )
 
     def step(self):

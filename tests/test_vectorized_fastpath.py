@@ -226,7 +226,9 @@ class TestScratchBuffers:
         simulator = BatchSimulator(grid, fsm, configs)
         tracked = (
             simulator._w_gather, simulator._w_dir, simulator._winner,
-            simulator._b_idx, simulator._m_req, simulator._m_informed,
+            simulator._b_idx, simulator._b_wide, simulator._b_color,
+            simulator._b_occ, simulator._b_move, simulator._b_next,
+            simulator._b_turn, simulator._m_req, simulator._m_informed,
         )
         before = [buffer.__array_interface__["data"][0] for buffer in tracked]
         for _ in range(20):

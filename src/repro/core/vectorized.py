@@ -31,11 +31,13 @@ The stepper is built for throughput:
   conflict arena are stored in the narrowest signed integer that holds
   their values: colours in int8 while ``n_colors <= 127`` (else int16),
   occupancy and arena, which hold ``-1 .. k + 1``, in int8 while
-  ``k + 1 <= 127`` (else int16).  The per-lane FSM tables follow the
-  same rule.  At thousands of lanes an int64 field or table no longer
-  fits the L2 cache, so this cuts gather and scatter traffic.  It stays
-  exact because every stored value fits its dtype, and every table index
-  built from a narrow value is computed in int64.
+  ``k + 1 <= 127`` (else int16).  The FSM tables follow the same rule
+  and hold one row per distinct FSM object, not one per lane (4 rows
+  for a population of 4 FSMs over 1003 fields).  At thousands of lanes
+  an int64 field or table no longer fits the L2 cache, so this cuts
+  gather and scatter traffic.  It stays exact because every stored value
+  fits its dtype, and every table index built from a narrow value is
+  computed in int64.
 * **Zero-allocation stepping** -- every per-step temporary (gathered
   knowledge, conflict winners, request masks, table indices) lives in a
   scratch buffer allocated once; steady-state ``step()`` performs no
@@ -68,6 +70,7 @@ Throughput counters are kept in :class:`repro.perf.counters.StepCounters`
 lane-steps per second.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,14 +103,35 @@ def _narrow_int(top):
     return np.dtype(np.int64)
 
 
+def _share_rows(keys):
+    """One row per distinct key, in order of first appearance.
+
+    Returns the index of each row's first key and, as an int64 array, the
+    row of every key.
+    """
+    first = {}
+    for index, key in enumerate(keys):
+        first.setdefault(key, index)
+    row_of = {key: row for row, key in enumerate(first)}
+    rows = np.fromiter(map(row_of.__getitem__, keys), dtype=np.int64,
+                       count=len(keys))
+    return list(first.values()), rows
+
+
+def _set_identity(knowledge):
+    """Initial knowledge, written into ``knowledge`` of shape ``(B, k, W)``
+    (all zero): agent ``i`` holds exactly bit ``i``."""
+    agent = np.arange(knowledge.shape[1])
+    knowledge[:, agent, agent // _WORD_BITS] = np.uint64(1) << (
+        agent % _WORD_BITS
+    ).astype(np.uint64)
+
+
 def _pack_identity(n_lanes, n_agents):
     """Initial knowledge: agent ``i`` holds exactly bit ``i``."""
     n_words = (n_agents + _WORD_BITS - 1) // _WORD_BITS
     knowledge = np.zeros((n_lanes, n_agents, n_words), dtype=np.uint64)
-    agent = np.arange(n_agents)
-    knowledge[:, agent, agent // _WORD_BITS] = np.uint64(1) << (
-        agent % _WORD_BITS
-    ).astype(np.uint64)
+    _set_identity(knowledge)
     return knowledge
 
 
@@ -187,7 +211,8 @@ class BatchSimulator:
     fsms:
         One :class:`repro.core.fsm.FSM` shared by all lanes, or a
         sequence of ``B`` FSMs (one per lane, equal state counts) -- the
-        form used to evaluate a whole GA population at once.
+        form used to evaluate a whole GA population at once.  Lanes given
+        the same FSM object share one table row.
     configs:
         Sequence of ``B`` initial configurations with equal agent counts.
     environment:
@@ -229,30 +254,30 @@ class BatchSimulator:
         if any(config.n_agents != self.n_agents for config in configs):
             raise ValueError("all lanes must have the same number of agents")
 
-        # species tables: shape (n_species, table_size); _species maps
-        # every (lane, agent) to the row of the behaviour controlling it
+        # FSM tables hold one row per distinct FSM object; _species maps
+        # every (lane, agent) to the row of the behaviour controlling it,
+        # and row r holds FSM _row_sources[r] of the sequence given
         if agent_fsms is not None:
             if fsms is not None:
                 raise ValueError("pass either fsms or agent_fsms, not both")
-            species_list = list(agent_fsms)
-            if len(species_list) != self.n_agents:
+            agent_list = list(agent_fsms)
+            if len(agent_list) != self.n_agents:
                 raise ValueError(
-                    f"{len(species_list)} agent FSMs for {self.n_agents} agents"
+                    f"{len(agent_list)} agent FSMs for {self.n_agents} agents"
                 )
-            self._species = np.tile(
-                np.arange(self.n_agents, dtype=np.int64), (self.n_lanes, 1)
+            self._row_sources, agent_rows = _share_rows(
+                list(map(id, agent_list))
             )
+            species_list = [agent_list[agent] for agent in self._row_sources]
+            self._species = np.tile(agent_rows, (self.n_lanes, 1))
         elif isinstance(fsms, (list, tuple)):
-            species_list = list(fsms)
-            if len(species_list) != self.n_lanes:
-                raise ValueError(
-                    f"{len(species_list)} FSMs for {self.n_lanes} lanes"
-                )
-            self._species = np.repeat(
-                np.arange(self.n_lanes, dtype=np.int64)[:, None],
-                self.n_agents, axis=1,
-            )
+            if len(fsms) != self.n_lanes:
+                raise ValueError(f"{len(fsms)} FSMs for {self.n_lanes} lanes")
+            self._row_sources, lane_rows = _share_rows(self._row_keys(fsms))
+            species_list = [fsms[lane] for lane in self._row_sources]
+            self._species = np.repeat(lane_rows[:, None], self.n_agents, axis=1)
         elif fsms is not None:
+            self._row_sources = [0]
             species_list = [fsms]
             self._species = np.zeros(
                 (self.n_lanes, self.n_agents), dtype=np.int64
@@ -337,25 +362,9 @@ class BatchSimulator:
         self._front_flat = front.reshape(-1)
 
         # -- agent state, shape (B, k); positions kept flat ----------------
-        self._pos = np.empty((n_lanes, n_agents), dtype=np.int64)
-        self._direction = np.empty_like(self._pos)
-        self._state = np.empty_like(self._pos)
-        for lane, config in enumerate(configs):
-            for agent, (x, y) in enumerate(config.positions):
-                self._pos[lane, agent] = (x % size) * size + y % size
-            self._direction[lane] = np.asarray(config.directions, dtype=np.int64)
-            states = config.states
-            if states is None and state_scheme is not None:
-                states = state_scheme.states_for(n_agents, self.n_states)
-            if states is None:
-                states = [
-                    ident % min(2, self.n_states) for ident in range(n_agents)
-                ]
-            self._state[lane] = np.asarray(states, dtype=np.int64)
-        if (self._direction >= self._n_directions).any() or (self._direction < 0).any():
-            raise ValueError("a configuration direction is out of range for this grid")
-        if (self._state >= self.n_states).any() or (self._state < 0).any():
-            raise ValueError("an initial control state is out of range for this FSM")
+        self._pos, self._direction, self._state = self._agent_state(
+            configs, state_scheme
+        )
 
         # -- fields, shape (B, N + 2) with the two sentinel columns --------
         starting = self.environment.starting_colors().reshape(-1).astype(np.int64)
@@ -393,7 +402,7 @@ class BatchSimulator:
         self._know_padded = np.zeros(
             (n_lanes, n_agents + 1, self._mask.size), dtype=np.uint64
         )
-        self._know_padded[:, 1:, :] = _pack_identity(n_lanes, n_agents)
+        _set_identity(self._know_padded[:, 1:, :])
 
         # -- scratch buffers: allocated once, sliced to the active lanes --
         n_words = self._mask.size
@@ -456,6 +465,56 @@ class BatchSimulator:
         self._backend.bind(self)
         # the exchange right after placement is not counted
         self._exchange_and_check(initial=True)
+
+    def _row_keys(self, fsms):
+        """What lanes must share to share a table row: the FSM object."""
+        return list(map(id, fsms))
+
+    def _agent_state(self, configs, state_scheme):
+        """Flat positions, headings and control states, each ``(B, k)``.
+
+        Every distinct configuration object is read once, straight from
+        its tuples, and lanes repeating one get copies of its rows.
+        """
+        n_agents, size = self.n_agents, self.grid.size
+        sources, lane_rows = _share_rows(list(map(id, configs)))
+        distinct = [configs[lane] for lane in sources]
+        count = len(distinct) * n_agents
+        flatten = itertools.chain.from_iterable
+        coords = np.fromiter(
+            flatten(flatten(config.positions for config in distinct)),
+            dtype=np.int64, count=2 * count,
+        )
+        np.remainder(coords, size, out=coords)
+        pos = coords[0::2] * size
+        pos += coords[1::2]
+        del coords  # freed before the next (B, k) array is allocated
+        direction = np.fromiter(
+            flatten(config.directions for config in distinct),
+            dtype=np.int64, count=count,
+        )
+        if state_scheme is not None:
+            default = state_scheme.states_for(n_agents, self.n_states)
+        else:
+            default = [ident % min(2, self.n_states) for ident in range(n_agents)]
+        state = np.empty((len(distinct), n_agents), dtype=np.int64)
+        state[:] = default
+        explicit = [row for row, config in enumerate(distinct)
+                    if config.states is not None]
+        if explicit:
+            state[explicit] = np.fromiter(
+                flatten(distinct[row].states for row in explicit),
+                dtype=np.int64, count=len(explicit) * n_agents,
+            ).reshape(len(explicit), n_agents)
+        if (direction >= self._n_directions).any() or (direction < 0).any():
+            raise ValueError("a configuration direction is out of range for this grid")
+        if (state >= self.n_states).any() or (state < 0).any():
+            raise ValueError("an initial control state is out of range for this FSM")
+        arrays = [pos.reshape(state.shape), direction.reshape(state.shape),
+                  state]
+        if len(distinct) < self.n_lanes:
+            arrays = [array[lane_rows] for array in arrays]
+        return arrays
 
     # -- views ---------------------------------------------------------------
 

@@ -59,7 +59,8 @@ class TimeShuffledBatchSimulator(BatchSimulator):
     lanes) or two equal-length lists of per-lane FSMs -- the form used to
     evaluate a whole population of *pairs* at once.  Implementation: both
     table stacks are kept and swapped in before each step, so the hot
-    loop is unchanged.
+    loop is unchanged.  Lanes share a table row when they share both the
+    even and the odd FSM object, so the two stacks have the same rows.
     """
 
     def __init__(self, grid, fsm_even, fsm_odd, configs, state_scheme=None,
@@ -72,19 +73,25 @@ class TimeShuffledBatchSimulator(BatchSimulator):
             )
         for even, odd in zip(even_list, odd_list):
             _check_pair(even, odd)
+        self._odd_fsms = odd_list
         super().__init__(grid, fsm_even, configs, state_scheme=state_scheme,
                          environment=environment)
         self._tables_even = (
             self._next_state, self._set_color, self._move, self._turn,
         )
+        odd_rows = [odd_list[source] for source in self._row_sources]
         self._tables_odd = tuple(
-            np.stack([getattr(fsm, field) for fsm in odd_list]).astype(
+            np.stack([getattr(fsm, field) for fsm in odd_rows]).astype(
                 even.dtype
             )
             for field, even in zip(
                 ("next_state", "set_color", "move", "turn"), self._tables_even
             )
         )
+
+    def _row_keys(self, fsms):
+        """Lanes share a table row only when both their FSMs are shared."""
+        return list(zip(map(id, fsms), map(id, self._odd_fsms)))
 
     def step(self):
         tables = self._tables_even if self.t % 2 == 0 else self._tables_odd

@@ -47,6 +47,17 @@ The stepper is built for throughput:
   the unsolved lanes (the expensive tail of a 1003-field suite).
 * **Exchange early-out** -- when a step changes no lane's knowledge the
   success check is skipped entirely.
+* **Dense-field exchange** -- exchange computes, for every agent, the OR
+  of its own and its neighbours' knowledge.  In worlds with at least
+  ``DENSE_OCCUPANCY`` (0.375) agents per free cell -- Table 1's k = 256
+  on the 16x16 torus is full -- the numpy backend computes that OR for
+  every cell at once, as a CA neighbourhood stencil over a halo-padded
+  knowledge field, in small lane blocks, instead of with per-agent
+  gathers.  OR is order-free and empty, obstacle and border cells hold
+  0, so the result is bit-exact.  The threshold is the measured
+  crossover of the two paths on 16x16 worlds; see
+  :mod:`repro.core.backends.numpy_backend`.  Steps in which nobody
+  requests a free front cell also skip conflict resolution there.
 * **Cycle parking** -- a lane on a finite torus is a finite deterministic
   system, so every unsolved lane ends in a cycle, and once its whole
   state (positions, headings, control states, colours, knowledge)

@@ -11,7 +11,10 @@ mechanism observable:
   nothing and skipped the success check;
 * ``retired_lanes`` / ``compactions`` trace when lanes left the batch;
 * ``cycled_lanes`` counts lanes parked by cycle detection (unsolved lanes
-  whose whole state repeated, see :mod:`repro.core.vectorized`).
+  whose whole state repeated, see :mod:`repro.core.vectorized`);
+* ``dense_exchanges`` counts exchange passes that ran as a cell stencil
+  (dense worlds on the numpy backend, see
+  :mod:`repro.core.backends.numpy_backend`).
 
 This module must stay import-light: the core simulator imports it, and
 the rest of :mod:`repro.perf` imports the core simulator.
@@ -31,6 +34,7 @@ class StepCounters:
     compactions: int = 0           # retire/park passes that shrank the batch
     retired_lanes: int = 0         # solved lanes moved out of the working set
     cycled_lanes: int = 0          # periodic unsolved lanes parked by run()
+    dense_exchanges: int = 0       # exchange passes run as a cell stencil
 
     def as_dict(self):
         """Plain-dict view for JSON reports."""

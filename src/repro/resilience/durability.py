@@ -88,6 +88,36 @@ def decode_record(line):
     raise ValueError(f"unknown journal record type {kind!r}")
 
 
+def split_records(raw, decode):
+    """``(records, valid_end)``: the decoded valid prefix of an append log.
+
+    The one line discipline behind :class:`RequestJournal`,
+    :class:`repro.service.replication.HintStore` and
+    :class:`repro.service.cache_store.CacheStore`.  A record is a line
+    terminated by ``b"\\n"`` -- nothing else ends a line -- and empty
+    lines are skipped.  The valid prefix ends before the first non-empty
+    line ``decode`` rejects (whitespace-only junk such as ``b"\\r"``
+    included) and before an unterminated final line, which is torn even
+    when it decodes: the writer died mid-append, and keeping it would
+    fuse the next append onto it.  ``valid_end`` is the prefix's length
+    in bytes.
+    """
+    records = []
+    valid_end = 0
+    while True:
+        end = raw.find(b"\n", valid_end)
+        if end < 0:
+            break
+        line = raw[valid_end:end]
+        if line:
+            try:
+                records.append(decode(line))
+            except (ValueError, KeyError, IndexError, TypeError):
+                break
+        valid_end = end + 1
+    return records, valid_end
+
+
 class RequestJournal:
     """The fsync'd JSONL write-ahead log behind ``serve --journal``.
 
@@ -170,19 +200,12 @@ class RequestJournal:
             self.recovered_accepts = 0
             self.recovered_commits = 0
             return accepts, commits
-        valid_end = 0
-        for line in raw.splitlines(keepends=True):
-            stripped = line.strip()
-            if stripped:
-                try:
-                    kind, idem, spec = decode_record(stripped)
-                except (ValueError, KeyError, TypeError):
-                    break  # torn/corrupt line: keep the prefix, drop the rest
-                if kind == RECORD_ACCEPT:
-                    accepts.setdefault(idem, spec)
-                else:
-                    commits.add(idem)
-            valid_end += len(line)
+        records, valid_end = split_records(raw, decode_record)
+        for kind, idem, spec in records:
+            if kind == RECORD_ACCEPT:
+                accepts.setdefault(idem, spec)
+            else:
+                commits.add(idem)
         if valid_end < len(raw):
             self.dropped_bytes += len(raw) - valid_end
             self._truncate(valid_end)

@@ -47,6 +47,7 @@ except ImportError:          # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.evolution.fitness import EvaluationCache
+from repro.resilience.durability import split_records
 from repro.resilience.faults import SITE_CACHE_APPEND, maybe_fault
 from repro.results import EvaluationResult
 
@@ -134,21 +135,12 @@ class CacheStore:
 
     def load(self):
         """All valid records, truncating a torn tail if one is found."""
-        records = []
         try:
             with open(self.path, "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
-            return records
-        valid_end = 0
-        for line in raw.splitlines(keepends=True):
-            stripped = line.strip()
-            if stripped:
-                try:
-                    records.append(decode_record(stripped))
-                except (ValueError, KeyError, IndexError, TypeError):
-                    break  # torn/corrupt line: keep the prefix, drop the rest
-            valid_end += len(line)
+            return []
+        records, valid_end = split_records(raw, decode_record)
         if valid_end < len(raw):
             self.dropped_bytes += len(raw) - valid_end
             self._truncate(valid_end)

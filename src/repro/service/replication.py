@@ -53,6 +53,7 @@ import time
 import uuid
 from collections import OrderedDict, deque
 
+from repro.resilience.durability import split_records
 from repro.resilience.faults import (
     DELAY,
     DISCONNECT,
@@ -258,19 +259,12 @@ class HintStore:
                 self._pending = pending
             self.recovered_hints = 0
             return pending
-        valid_end = 0
-        for line in raw.splitlines(keepends=True):
-            stripped = line.strip()
-            if stripped:
-                try:
-                    kind, hint_id, peer, records = decode_hint_record(stripped)
-                except (ValueError, KeyError, TypeError):
-                    break  # torn/corrupt line: keep the prefix, drop the rest
-                if kind == RECORD_HINT:
-                    pending.setdefault(hint_id, (peer, records))
-                else:
-                    pending.pop(hint_id, None)
-            valid_end += len(line)
+        hints, valid_end = split_records(raw, decode_hint_record)
+        for kind, hint_id, peer, records in hints:
+            if kind == RECORD_HINT:
+                pending.setdefault(hint_id, (peer, records))
+            else:
+                pending.pop(hint_id, None)
         if valid_end < len(raw):
             self.dropped_bytes += len(raw) - valid_end
             self._truncate(valid_end)

@@ -146,6 +146,25 @@ class TestRequestJournal:
         third = RequestJournal(path)
         assert [i for i, _ in third.replay_entries()] == ["a", "b", "d"]
 
+    def test_unterminated_last_accept_is_torn_and_no_later_accept_is_lost(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.jsonl"
+        with RequestJournal(path) as journal:
+            journal.accept("a", {"v": 1})
+        # a complete record whose newline never reached the disk
+        with open(path, "ab") as handle:
+            handle.write(encode_accept("b", {"v": 2}).encode())
+        revived = RequestJournal(path)
+        assert [i for i, _ in revived.replay_entries()] == ["a"]
+        assert revived.stats()["dropped_bytes"] > 0
+        # the later accepts land on a clean tail instead of fusing onto "b"
+        revived.accept("c", {"v": 3})
+        revived.accept("d", {"v": 4})
+        revived.close()
+        third = RequestJournal(path)
+        assert [i for i, _ in third.replay_entries()] == ["a", "c", "d"]
+
     def test_compact_drops_committed_pairs(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = RequestJournal(path)

@@ -55,7 +55,7 @@ class TestCounters:
         assert as_dict["steps"] == counters.steps
         assert set(as_dict) == {
             "steps", "lane_steps", "exchanges", "exchange_early_outs",
-            "compactions", "retired_lanes", "cycled_lanes",
+            "compactions", "retired_lanes", "cycled_lanes", "dense_exchanges",
         }
 
 

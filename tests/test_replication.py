@@ -24,7 +24,7 @@ import tempfile
 import threading
 
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from repro.results import EvaluationResult
 from repro.service.cache_store import CacheStore, PersistentEvaluationCache
@@ -192,6 +192,12 @@ class TestHintStore:
     n_after=st.integers(min_value=0, max_value=2),
     junk=st.text(min_size=1, max_size=30),
 )
+# whitespace-only junk lines: a bare "\r" is not a line break, and a
+# junk line that strips to nothing is still corruption
+@example(n_hints=1, drain_mask=[False] * 5, duplicate=False,
+         corruption="garbage", n_after=1, junk="\r")
+@example(n_hints=1, drain_mask=[False] * 5, duplicate=False,
+         corruption="garbage", n_after=1, junk=" ")
 def test_fuzzed_hint_log_recovers_like_the_journal(
     n_hints, drain_mask, duplicate, corruption, n_after, junk
 ):

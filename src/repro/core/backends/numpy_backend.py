@@ -3,9 +3,9 @@
 One synchronous CA step over all active lanes at once, as a fixed
 sequence of whole-array ``take`` gathers, scatters and elementwise ufuncs
 over the simulator's preallocated scratch buffers: precomputed neighbour
-and rotation kernels, zero-allocation stepping, and a one-word knowledge
-fast path.  Every operation writes into an ``out=`` buffer, and the
-choice among ufuncs is made by measured cost per lane-step:
+and rotation kernels and zero-allocation stepping.  Every operation
+writes into an ``out=`` buffer, and the choice among ufuncs is made by
+measured cost per lane-step:
 
 * cell fields and FSM tables are gathered into scratch of their own
   narrow dtype (int8/int16); a narrow value that builds a table index is
@@ -15,16 +15,38 @@ choice among ufuncs is made by measured cost per lane-step:
   ``a + mask * (b - a)``, which numpy runs several times faster than
   ``copyto(..., where=mask)``;
 * the heading update is one gather from the rotation table rather than
-  an add and a ``remainder``.
+  an add and a ``remainder``;
+* gathers call the ``ndarray.take`` method, which skips the Python-level
+  dispatch of ``np.take``.  The three gathers of the direction-major
+  exchange also pass ``mode="clip"``, which writes straight into ``out``
+  where the default ``"raise"`` fills a fresh copy of it and copies that
+  back.  Clipping relies on every index being non-negative and in range
+  (obstacles are folded into the void, whose occupancy is 0): an
+  out-of-range index would read a wrong row instead of raising, so
+  ``tests/test_agent_exchange.py`` checks those indices on every step.
 
-Two paths depend on the world's occupancy, and both are exact:
+A step over a small batch (tens of lanes, as one genome's miss in the
+service) costs about as much per numpy call as per element, so the
+sparse paths are built to make few calls per step, whatever the batch
+size.
 
-* **Dense-field exchange.**  Each agent's new knowledge is the OR of its
-  own word(s) and its neighbours'.  Per-agent, that is one gather of
-  neighbour cells, occupants and knowledge per direction: 4 (S) or 6 (T)
-  times ``k`` gathers per lane.  In a dense world it is cheaper to
-  compute the OR for every cell at once, as a CA neighbourhood stencil.
-  One gather through the occupancy field lays the knowledge out over the
+Knowledge exchange -- each agent's new knowledge is the OR of its own
+word(s) and its neighbours' -- takes one of two exact paths, chosen once
+per simulator from the world's occupancy:
+
+* **Direction-major exchange** (sparse worlds).  For a block of lanes,
+  the neighbour cells of every agent in all 4 (S) or 6 (T) directions
+  are gathered at once into a ``(directions, lanes, agents)`` index
+  block; the occupants of those cells are gathered and widened into
+  knowledge rows (empty, obstacle and void cells read the all-zero row
+  0), the knowledge words are gathered in one call, and one
+  ``bitwise_or.reduce`` over the direction axis, plus the agent's own
+  words, gives the result: about 8 numpy calls per block, whatever the
+  number of directions.  Blocks hold at most ``_EXCHANGE_BLOCK``
+  elements, so a large batch's scratch stays cache resident.
+* **Dense-field exchange.**  In a dense world it is cheaper to compute
+  the OR for every cell at once, as a CA neighbourhood stencil.  One
+  gather through the occupancy field lays the knowledge out over the
   lattice plus a one-cell halo (empty, obstacle and border cells read
   the all-zero knowledge row 0, and the halo wraps on a cyclic world);
   the 4 or 6 shifted views of that field are ORed together, and the
@@ -34,10 +56,26 @@ Two paths depend on the world's occupancy, and both are exact:
   3-cell worlds where two directions reach the same neighbour.  Lanes
   are processed in blocks of ``_LANE_BLOCK`` so the scratch stays cache
   resident.  The stencil costs per cell and the gathers per agent, so
-  the choice is made once per simulator from ``k / free cells``: the
-  stencil from ``DENSE_OCCUPANCY`` = 0.375 on.  That is the measured
-  crossover on 16x16 worlds at 1003 lanes (S breaks even at k = 96, T
-  already at k = 80, and at k = 256 the stencil is 3-4x faster).
+  the choice is made from ``k / free cells``: the stencil from
+  ``DENSE_OCCUPANCY`` = 0.5 on.  That is the measured crossover on
+  16x16 T worlds at 1003 lanes against the direction-major exchange
+  (T breaks even at k = 128 and the stencil is 1.4x faster at k = 256;
+  S breaks even only at k = 176, so S worlds between 0.5 and 0.69
+  would still exchange faster by gathers).
+
+Moves go through a conflict arena, one cell field per lane in which the
+lowest requesting agent ID wins each contested free cell:
+
+* **One-scatter arena.**  Every requester writes its ID to its front
+  cell in one scatter (non-requesters write to their lane's void cell,
+  which nobody reads), and one gather reads the cells back.  Whatever
+  order numpy applies duplicate writes in, each requested cell then
+  holds one of its requesters' IDs, and every other requester of it
+  reads a foreign ID.  Those requesters are exactly the losers of a
+  contest, and a ``minimum.at`` over only their cells and IDs, plus a
+  second gather, leaves the lowest ID in every contested cell.  Every
+  requested cell is written before it is read, so the arena is never
+  reset.
 * **No-request steps.**  When no agent requests a free front cell -- on
   a full torus, never -- nobody can lose a conflict or move, so the
   conflict arena and both occupancy scatters are skipped and ``blocked``
@@ -45,8 +83,9 @@ Two paths depend on the world's occupancy, and both are exact:
 
 The fast-path and backend test suites pin it bit-exact against the
 scalar reference simulation, the frozen legacy stepper and the
-interpreted kernel twin; ``tests/test_dense_exchange.py`` covers both
-occupancy paths.
+interpreted kernel twin; ``tests/test_agent_exchange.py`` and
+``tests/test_dense_exchange.py`` cover the two exchange paths and the
+arena.
 """
 
 import numpy as np
@@ -56,12 +95,66 @@ from repro.core.backends import StepBackend
 #: Occupancy (agents per free cell) from which knowledge exchange runs as
 #: a cell stencil instead of per-agent gathers; see "Dense-field
 #: exchange" above for where the value comes from.
-DENSE_OCCUPANCY = 0.375
+DENSE_OCCUPANCY = 0.5
 
 #: Lanes per stencil block.  A block's padded knowledge field and its
 #: merged copy stay cache resident (about 0.6 MB at k = 256 on 16x16);
 #: a whole-batch field would not, and would add tens of MB of scratch.
 _LANE_BLOCK = 32
+
+#: Elements (directions x lanes x agents x words) per direction-major
+#: exchange block.  At the cap a block's index and word scratch take
+#: 1 MB; smaller blocks cost more calls per step at thousands of lanes,
+#: and larger ones fall out of cache (measurements in CHANGES.md).
+_EXCHANGE_BLOCK = 65536
+
+
+class _AgentExchange:
+    """Lane-block scratch of one simulator's direction-major exchange.
+
+    The index, occupant and word buffers are flat, sized for one full
+    block, and viewed as ``(directions, lanes, agents[, words])``.
+    """
+
+    def __init__(self, sim):
+        n_directions, n_agents = sim._n_directions, sim.n_agents
+        n_words = sim._mask.size
+        self.lanes = max(
+            1, _EXCHANGE_BLOCK // (n_directions * n_agents * n_words)
+        )
+        size = n_directions * min(self.lanes, sim.n_lanes) * n_agents
+        self.index = np.empty(size, dtype=np.int64)
+        self.occupant = np.empty(size, dtype=sim._occ_pad.dtype)
+        self.words = np.empty(size * n_words, dtype=np.uint64)
+
+    def exchange(self, sim, n):
+        """Each agent's own knowledge OR its neighbours', into
+        ``sim._w_gather[:n]``."""
+        n_directions, n_agents = sim._n_directions, sim.n_agents
+        n_words = sim._mask.size
+        occ_flat = sim._occ_pad.reshape(-1)
+        know_rows = sim._know_padded.reshape(-1, n_words)
+        for lo in range(0, n, self.lanes):
+            hi = min(n, lo + self.lanes)
+            shape = (n_directions, hi - lo, n_agents)
+            size = n_directions * (hi - lo) * n_agents
+            index = self.index[:size].reshape(shape)
+            occupant = self.occupant[:size].reshape(shape)
+            words = self.words[:size * n_words].reshape(shape + (n_words,))
+            # every direction's neighbour cell, then its occupant's
+            # knowledge row (agent i holds row i + 1; empty, obstacle and
+            # void cells read the all-zero row 0 of their lane)
+            sim._neigh_table.take(
+                sim._pos[lo:hi], axis=1, out=index, mode="clip"
+            )
+            np.add(index, sim._row_pad[lo:hi], out=index)
+            occ_flat.take(index, out=occupant, mode="clip")
+            np.copyto(index, occupant)
+            np.add(index, sim._row_know[lo:hi], out=index)
+            know_rows.take(index, axis=0, out=words, mode="clip")
+            gather = sim._w_gather[lo:hi]
+            np.bitwise_or.reduce(words, axis=0, out=gather)
+            np.bitwise_or(gather, sim._know_padded[lo:hi, 1:], out=gather)
 
 
 class _CellStencil:
@@ -108,6 +201,7 @@ class _CellStencil:
     def exchange(self, sim, n):
         """Each agent's own knowledge OR its neighbours', into
         ``sim._w_gather[:n]``."""
+        sim.counters.dense_exchanges += 1
         n_words = sim._mask.size
         start, span = self.start, self.span
         for lo in range(0, n, _LANE_BLOCK):
@@ -117,14 +211,13 @@ class _CellStencil:
             # holds row i + 1, and empty, obstacle (-1) and void cells
             # read the all-zero row 0
             occupant = self.occupant[:lanes]
-            np.take(sim._occ_pad[lo:hi], self.source, axis=1, out=occupant)
+            sim._occ_pad[lo:hi].take(self.source, axis=1, out=occupant)
             np.maximum(occupant, 0, out=occupant)
             rows = self.rows[:lanes]
             np.copyto(rows, occupant)
             np.add(rows, self.row_base[:lanes], out=rows)
             field = self.field[:lanes]
-            np.take(
-                sim._know_padded[lo:hi].reshape(-1, n_words),
+            sim._know_padded[lo:hi].reshape(-1, n_words).take(
                 rows.reshape(-1), axis=0, out=field.reshape(-1, n_words),
             )
             merged = self.merged[:lanes]
@@ -135,10 +228,10 @@ class _CellStencil:
                     merged, field[:, first:first + span], out=merged
                 )
             at = self.at[:lanes]
-            np.take(self.cell_at, sim._pos[lo:hi], out=at)
+            self.cell_at.take(sim._pos[lo:hi], out=at)
             np.add(at, self.at_base[:lanes], out=at)
-            np.take(
-                merged.reshape(-1, n_words), at.reshape(-1), axis=0,
+            merged.reshape(-1, n_words).take(
+                at.reshape(-1), axis=0,
                 out=sim._w_gather[lo:hi].reshape(-1, n_words),
             )
 
@@ -146,39 +239,32 @@ class _CellStencil:
 def _resolve_conflicts(sim, n, front, front_g, requests, front_occupied):
     """The lowest agent ID wins each contested front cell; returns the
     ``(blocked, movers)`` masks of rows ``[0, n)``."""
-    n_agents = sim.n_agents
     agent_ids = sim._agent_ids[:n]
     not_buf = sim._m_not[:n]
     winner_flat = sim._winner.reshape(-1)
-    winner_flat[front_g] = n_agents  # reset only the contested cells
+    # non-requesters are redirected to their lane's void cell, which
+    # nobody reads: target = front_g + not_requesting * (void - front)
     np.logical_not(requests, out=not_buf)
-    if n_agents <= 32:
-        # write requesters' ids in descending agent order; the last
-        # (lowest) id written to a contested cell wins.  Non-requesters
-        # are redirected to their lane's void cell, which nobody reads:
-        # target = front_g + not_requesting * (void - front)
-        target = sim._b_idx[:n]
-        np.subtract(sim._void, front, out=target)
-        np.multiply(target, not_buf, out=target)
-        np.add(target, front_g, out=target)
-        for agent in range(n_agents - 1, -1, -1):
-            winner_flat[target[:, agent]] = agent
-    else:
-        # candidate = agent id, or n_agents (never wins) when not
-        # requesting.  minimum.at keeps its fast path only for 1-D
-        # operands with values in the arena's dtype
-        candidate = sim._b_occ[:n]
-        np.subtract(n_agents, agent_ids, out=candidate)
-        np.multiply(candidate, not_buf, out=candidate)
-        np.add(candidate, agent_ids, out=candidate)
-        np.minimum.at(
-            winner_flat, front_g.reshape(-1), candidate.reshape(-1)
-        )
+    target = sim._b_idx[:n]
+    np.subtract(sim._void, front, out=target)
+    np.multiply(target, not_buf, out=target)
+    np.add(target, front_g, out=target)
+    # each requested cell keeps one of its requesters' ids, and the
+    # requesters reading another id back are exactly the contested ones
+    winner_flat[target] = agent_ids
     won = sim._b_occ[:n]
-    np.take(winner_flat, front_g, out=won)
     lost = sim._m_lost[:n]
+    winner_flat.take(target, out=won)
     np.not_equal(won, agent_ids, out=lost)
     np.logical_and(lost, requests, out=lost)
+    if lost.any():
+        # a contested cell holds one requester's id, and every other
+        # requester lost: the minimum over the losers is the lowest id
+        sim.counters.contested_steps += 1
+        np.minimum.at(winner_flat, target[lost], agent_ids[lost])
+        winner_flat.take(target, out=won)
+        np.not_equal(won, agent_ids, out=lost)
+        np.logical_and(lost, requests, out=lost)
     blocked = sim._m_blk[:n]
     np.logical_or(front_occupied, lost, out=blocked)
     movers = sim._m_mov[:n]
@@ -187,54 +273,17 @@ def _resolve_conflicts(sim, n, front, front_g, requests, front_occupied):
     return blocked, movers
 
 
-def _exchange_by_agent(sim, n):
-    """Each agent ORs in its neighbours' knowledge, one gather per
-    direction."""
-    n_words = sim._mask.size
-    pos = sim._pos[:n]
-    nbr = sim._b_idx[:n]
-    gidx = sim._b_front_g[:n]
-    occupant = sim._b_occ[:n]
-    row_pad = sim._row_pad[:n]
-    row_know = sim._row_know[:n]
-    occ_flat = sim._occ_pad.reshape(-1)
-    gather = sim._w_gather[:n]
-    np.copyto(gather, sim._know_padded[:n, 1:, :])
-    if n_words == 1:
-        # one-word fast path (any k <= 64): flat 1-D gathers throughout
-        know_flat = sim._know_padded.reshape(-1)
-        gather_2d = gather[:, :, 0]
-        direction_words = sim._w_dir[:n, :, 0]
-    else:
-        know_rows = sim._know_padded.reshape(-1, n_words)
-        direction_words = sim._w_dir[:n]
-    for d in range(sim._n_directions):
-        np.take(sim._neigh_table[d], pos, out=nbr)
-        np.add(nbr, row_pad, out=gidx)
-        # neighbour agent ids; obstacle neighbours read the void's 0
-        np.take(occ_flat, gidx, out=occupant)
-        np.copyto(gidx, occupant)
-        np.add(gidx, row_know, out=gidx)
-        if n_words == 1:
-            np.take(know_flat, gidx, out=direction_words)
-            np.bitwise_or(gather_2d, direction_words, out=gather_2d)
-        else:
-            np.take(know_rows, gidx, axis=0, out=direction_words)
-            np.bitwise_or(gather, direction_words, out=gather)
-
-
 class NumpyStepBackend(StepBackend):
     """Vectorized ``take``/gather stepping over the shared scratch buffers."""
 
     name = "numpy"
 
     def bind(self, sim):
-        # dense worlds take the cell stencil, and only they get its scratch
+        # dense worlds take the cell stencil, sparse ones the
+        # direction-major gathers; each allocates only its own scratch
         free_cells = sim.environment.n_free_cells
-        sim._stencil = (
-            _CellStencil(sim)
-            if sim.n_agents >= DENSE_OCCUPANCY * free_cells else None
-        )
+        dense = sim.n_agents >= DENSE_OCCUPANCY * free_cells
+        sim._exchange = (_CellStencil if dense else _AgentExchange)(sim)
 
     def step_active(self, sim, n):
         n_cells = sim._n_cells
@@ -255,7 +304,7 @@ class NumpyStepBackend(StepBackend):
         front = sim._b_front[:n]
         np.multiply(direction, n_cells, out=idx)
         np.add(idx, pos, out=idx)
-        np.take(sim._front_flat, idx, out=front)
+        sim._front_flat.take(idx, out=front)
 
         here_g = sim._b_here_g[:n]
         front_g = sim._b_front_g[:n]
@@ -264,10 +313,10 @@ class NumpyStepBackend(StepBackend):
 
         color = sim._b_color[:n]
         frontcolor = sim._b_frontcolor[:n]
-        np.take(colors_flat, here_g, out=color)
-        np.take(colors_flat, front_g, out=frontcolor)
+        colors_flat.take(here_g, out=color)
+        colors_flat.take(front_g, out=frontcolor)
         occupant = sim._b_occ[:n]
-        np.take(occ_flat, front_g, out=occupant)
+        occ_flat.take(front_g, out=occupant)
         front_occupied = sim._m_focc[:n]
         np.not_equal(occupant, 0, out=front_occupied)
 
@@ -287,7 +336,7 @@ class NumpyStepBackend(StepBackend):
         np.multiply(species, table_size, out=wide)
         np.add(tidx, wide, out=tidx)
         move_out = sim._b_move[:n]
-        np.take(sim._move.reshape(-1), tidx, out=move_out)
+        sim._move.reshape(-1).take(tidx, out=move_out)
         requests = sim._m_req[:n]
         not_buf = sim._m_not[:n]
         np.equal(move_out, 1, out=requests)
@@ -311,10 +360,10 @@ class NumpyStepBackend(StepBackend):
         np.add(tidx, wide, out=tidx)
         set_color = sim._b_color[:n]  # own colour is not read again
         turn_code = sim._b_turn[:n]
-        np.take(sim._set_color.reshape(-1), tidx, out=set_color)
-        np.take(sim._turn.reshape(-1), tidx, out=turn_code)
+        sim._set_color.reshape(-1).take(tidx, out=set_color)
+        sim._turn.reshape(-1).take(tidx, out=turn_code)
         next_state = sim._b_next[:n]
-        np.take(sim._next_state.reshape(-1), tidx, out=next_state)
+        sim._next_state.reshape(-1).take(tidx, out=next_state)
         np.copyto(state, next_state)
 
         # setcolor always rewrites the flag of the cell the agent stands on
@@ -344,36 +393,25 @@ class NumpyStepBackend(StepBackend):
         np.multiply(direction, sim._n_turns, out=rotate_idx)
         np.copyto(wide, turn_code)
         np.add(rotate_idx, wide, out=rotate_idx)
-        np.take(sim._rotate, rotate_idx, out=direction)
+        sim._rotate.take(rotate_idx, out=direction)
 
     def exchange_active(self, sim, n):
-        if sim._stencil is not None:
-            sim._stencil.exchange(sim, n)
-            sim.counters.dense_exchanges += 1
-        else:
-            _exchange_by_agent(sim, n)
-
-        # both paths leave each agent's new knowledge in _w_gather
-        n_words = sim._mask.size
+        # both exchange paths leave each agent's new knowledge in
+        # _w_gather; one contiguous compare finds whether any word changed
+        sim._exchange.exchange(sim, n)
         gather = sim._w_gather[:n]
         know = sim._know_padded[:n, 1:, :]
-        changed = sim._m_changed[:n]
-        tmp = sim._m_tmp[:n]
-        np.not_equal(gather[:, :, 0], know[:, :, 0], out=changed)
-        for word in range(1, n_words):
-            np.not_equal(gather[:, :, word], know[:, :, word], out=tmp)
-            np.logical_or(changed, tmp, out=changed)
+        changed = sim._w_flags[:n]
+        np.not_equal(gather, know, out=changed)
         if not changed.any():
             return False
         np.copyto(know, gather)
         return True
 
     def solved_active(self, sim, n):
-        know = sim._know_padded[:n, 1:, :]
-        informed = sim._m_informed[:n]
-        tmp = sim._m_tmp[:n]
-        np.equal(know[:, :, 0], sim._mask[0], out=informed)
-        for word in range(1, sim._mask.size):
-            np.equal(know[:, :, word], sim._mask[word], out=tmp)
-            np.logical_and(informed, tmp, out=informed)
-        return informed.all(axis=1)
+        # a lane is solved when every word of every agent equals the mask
+        informed = sim._w_flags[:n]
+        np.equal(sim._know_padded[:n, 1:, :], sim._mask_rows, out=informed)
+        solved = sim._b_solved[:n]
+        informed.reshape(n, -1).all(axis=1, out=solved)
+        return solved

@@ -47,17 +47,20 @@ The stepper is built for throughput:
   the unsolved lanes (the expensive tail of a 1003-field suite).
 * **Exchange early-out** -- when a step changes no lane's knowledge the
   success check is skipped entirely.
-* **Dense-field exchange** -- exchange computes, for every agent, the OR
-  of its own and its neighbours' knowledge.  In worlds with at least
-  ``DENSE_OCCUPANCY`` (0.375) agents per free cell -- Table 1's k = 256
-  on the 16x16 torus is full -- the numpy backend computes that OR for
-  every cell at once, as a CA neighbourhood stencil over a halo-padded
-  knowledge field, in small lane blocks, instead of with per-agent
-  gathers.  OR is order-free and empty, obstacle and border cells hold
-  0, so the result is bit-exact.  The threshold is the measured
-  crossover of the two paths on 16x16 worlds; see
-  :mod:`repro.core.backends.numpy_backend`.  Steps in which nobody
-  requests a free front cell also skip conflict resolution there.
+* **Call-lean exchange** -- exchange computes, for every agent, the OR
+  of its own and its neighbours' knowledge.  The numpy backend gathers
+  all 4 (S) or 6 (T) directions of a block of lanes at once and
+  OR-reduces over the direction axis, a handful of numpy calls per
+  block, so small batches do not pay per-direction call overhead.  In
+  worlds with at least ``DENSE_OCCUPANCY`` (0.5) agents per free cell
+  -- Table 1's k = 256 on the 16x16 torus is full -- it computes that OR
+  for every cell at once instead, as a CA neighbourhood stencil over a
+  halo-padded knowledge field, in small lane blocks.  OR is order-free
+  and empty, obstacle and border cells hold 0, so both are bit-exact;
+  see :mod:`repro.core.backends.numpy_backend`.  Conflicts are resolved
+  with one scatter and one gather, plus a ``minimum.at`` fix-up only on
+  steps where two agents request one cell, and steps in which nobody
+  requests a free front cell skip conflict resolution altogether.
 * **Cycle parking** -- a lane on a finite torus is a finite deterministic
   system, so every unsolved lane ends in a cycle, and once its whole
   state (positions, headings, control states, colours, knowledge)
@@ -410,6 +413,9 @@ class BatchSimulator:
 
         # knowledge, shape (B, k + 1, W); row 0 of the padded view is all-zero
         self._mask = _full_mask(n_agents)
+        # the mask once per agent, so a compare against a lane's whole
+        # (k, W) knowledge block runs as one contiguous loop
+        self._mask_rows = np.tile(self._mask, (n_agents, 1))
         self._know_padded = np.zeros(
             (n_lanes, n_agents + 1, self._mask.size), dtype=np.uint64
         )
@@ -439,14 +445,14 @@ class BatchSimulator:
         self._m_blk = bools()     # blocked input bit
         self._m_mov = bools()     # actually moving
         self._m_not = bools()     # negation scratch
-        self._m_changed = bools()
         self._m_informed = bools()
-        self._m_tmp = bools()
         self._b_solved = np.empty(n_lanes, dtype=bool)
         self._w_gather = np.empty((n_lanes, n_agents, n_words), dtype=np.uint64)
-        self._w_dir = np.empty_like(self._w_gather)
-        # conflict arena: never cleared wholesale -- each step scatter-resets
-        # exactly the (at most B * k) front cells it is about to contest
+        # per-word compare flags: knowledge changed / word complete
+        self._w_flags = np.empty(self._w_gather.shape, dtype=bool)
+        # conflict arena: never cleared wholesale -- the numpy backend
+        # writes every requested front cell before reading it back, and
+        # the kernels reset each front cell before contesting it
         self._winner = np.full(
             (n_lanes, self._n_padded), n_agents, dtype=self._occ_dtype
         )
@@ -586,12 +592,10 @@ class BatchSimulator:
 
     def informed_counts(self):
         """Per-lane number of fully informed agents, original lane order."""
-        know = self._know_padded[:, 1:, :]
+        complete = self._w_flags
+        np.equal(self._know_padded[:, 1:, :], self._mask_rows, out=complete)
         informed = self._m_informed
-        np.equal(know[:, :, 0], self._mask[0], out=informed)
-        for word in range(1, self._mask.size):
-            np.equal(know[:, :, word], self._mask[word], out=self._m_tmp)
-            np.logical_and(informed, self._m_tmp, out=informed)
+        np.logical_and.reduce(complete, axis=2, out=informed)
         return self._by_lane(informed.sum(axis=1))
 
     # -- dynamics --------------------------------------------------------------

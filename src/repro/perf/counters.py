@@ -14,7 +14,10 @@ mechanism observable:
   whose whole state repeated, see :mod:`repro.core.vectorized`);
 * ``dense_exchanges`` counts exchange passes that ran as a cell stencil
   (dense worlds on the numpy backend, see
-  :mod:`repro.core.backends.numpy_backend`).
+  :mod:`repro.core.backends.numpy_backend`);
+* ``contested_steps`` counts steps on which two or more agents requested
+  one free cell, so the numpy backend's conflict arena ran its
+  ``minimum.at`` fix-up.
 
 This module must stay import-light: the core simulator imports it, and
 the rest of :mod:`repro.perf` imports the core simulator.
@@ -35,6 +38,7 @@ class StepCounters:
     retired_lanes: int = 0         # solved lanes moved out of the working set
     cycled_lanes: int = 0          # periodic unsolved lanes parked by run()
     dense_exchanges: int = 0       # exchange passes run as a cell stencil
+    contested_steps: int = 0       # steps whose conflict arena ran minimum.at
 
     def as_dict(self):
         """Plain-dict view for JSON reports."""

@@ -132,10 +132,13 @@ def test_matches_legacy_across_the_threshold(kind, env_name, density,
 @pytest.mark.parametrize("kind", ["S", "T"])
 @pytest.mark.parametrize("full", [False, True])
 def test_multi_word_knowledge(kind, env_name, full, backend):
-    # k > 64: two (k = 70) and three (a full 12x12) knowledge words
+    # k > 64: two (the threshold, 70-72) and three (a full 12x12)
+    # knowledge words
     grid = make_grid(kind, 12)
     environment = _environment(grid, env_name)
-    n_agents = environment.n_free_cells if full else 70
+    n_agents = (
+        environment.n_free_cells if full else _dense_threshold(environment)
+    )
     assert n_agents > 64
     configs = random_configurations(grid, n_agents, 3, seed=5,
                                     environment=environment)

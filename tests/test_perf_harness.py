@@ -56,6 +56,7 @@ class TestCounters:
         assert set(as_dict) == {
             "steps", "lane_steps", "exchanges", "exchange_early_outs",
             "compactions", "retired_lanes", "cycled_lanes", "dense_exchanges",
+            "contested_steps",
         }
 
 

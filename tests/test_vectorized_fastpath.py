@@ -224,8 +224,10 @@ class TestScratchBuffers:
             for seed in range(5)
         ]
         simulator = BatchSimulator(grid, fsm, configs)
+        exchange = simulator._exchange
         tracked = (
-            simulator._w_gather, simulator._w_dir, simulator._winner,
+            simulator._w_gather, exchange.index, exchange.occupant,
+            exchange.words, simulator._winner,
             simulator._b_idx, simulator._b_wide, simulator._b_color,
             simulator._b_occ, simulator._b_move, simulator._b_next,
             simulator._b_turn, simulator._m_req, simulator._m_informed,

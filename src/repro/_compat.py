@@ -12,6 +12,7 @@ import warnings
 
 
 def warn_deprecated(old, new, stacklevel=3):
+    """Emit the one deprecation message format used across the package."""
     warnings.warn(
         f"{old} is deprecated; use {new} instead",
         DeprecationWarning,

@@ -20,7 +20,11 @@ the lowest-id conflict winners, pass 3 performs all writes using only
 the pass-2 captures.  Agents occupy distinct cells and movement targets
 are unoccupied by construction, so the pass-3 writes never alias.
 
-The colour, occupancy and conflict-arena fields and the FSM tables are
+Each agent's heading, table row and control state are one fused control
+code, and the FSM tables are the simulator's composite tables indexed by
+``x * D*R*S + code`` (see :mod:`repro.core.vectorized`): one lookup gives
+the move bit, another the set colour, a third the next code with the
+turn folded in.  The colour, occupancy and conflict-arena fields are
 narrow integers (int8, or int16 for big alphabets and agent counts); the
 kernels read them as plain integers and every value they store fits, so
 every backend stays bit-exact.
@@ -34,17 +38,16 @@ def _build_kernels(decorate):
     """The (step, exchange, solved) kernels, each wrapped by ``decorate``."""
     popcount_word = decorate(popcount64)
 
-    def step_kernel(n, n_agents, n_cells, n_states, n_colors, n_directions,
-                    table_size, pos, direction, state, species,
-                    next_state_tbl, set_color_tbl, move_tbl, turn_tbl,
-                    front_flat, turn_increments, colors_pad, occ_pad,
-                    winner, front_buf, x_buf, req_buf, focc_buf):
+    def step_kernel(n, n_agents, n_colors, code_span, pos, code,
+                    heading_base, move_tbl, set_color_tbl, next_code_tbl,
+                    front_flat, colors_pad, occ_pad, winner, front_buf,
+                    row_buf, req_buf, focc_buf):
         for lane in range(n):
             # pass 1: front cells + conflict-arena reset (reset must
             # precede every winner update for this lane's step)
             for agent in range(n_agents):
                 front = front_flat[
-                    direction[lane, agent] * n_cells + pos[lane, agent]
+                    heading_base[code[lane, agent]] + pos[lane, agent]
                 ]
                 front_buf[lane, agent] = front
                 winner[lane, front] = n_agents
@@ -55,29 +58,27 @@ def _build_kernels(decorate):
                 color = int(colors_pad[lane, here])
                 frontcolor = int(colors_pad[lane, front])
                 front_occupied = occ_pad[lane, front] != 0
-                x_free = 2 * (color + n_colors * frontcolor)
+                # the free-front table row: x * D*R*S + code
                 row = (
-                    species[lane, agent] * table_size
-                    + x_free * n_states + state[lane, agent]
+                    2 * (color + n_colors * frontcolor) * code_span
+                    + code[lane, agent]
                 )
-                request = move_tbl[row] == 1 and not front_occupied
-                x_buf[lane, agent] = x_free
+                request = move_tbl[row] and not front_occupied
+                row_buf[lane, agent] = row
                 req_buf[lane, agent] = request
                 focc_buf[lane, agent] = front_occupied
                 if request and agent < winner[lane, front]:
                     winner[lane, front] = agent
-            # pass 3: FSM row + writes, using only pre-captured inputs
+            # pass 3: table row + writes, using only pre-captured inputs
             for agent in range(n_agents):
                 here = pos[lane, agent]
                 front = front_buf[lane, agent]
                 request = req_buf[lane, agent]
                 lost = request and winner[lane, front] != agent
                 blocked = focc_buf[lane, agent] or lost
-                row = (
-                    species[lane, agent] * table_size
-                    + (x_buf[lane, agent] + blocked) * n_states
-                    + state[lane, agent]
-                )
+                row = row_buf[lane, agent]
+                if blocked:
+                    row += code_span
                 # setcolor always rewrites the flag of the agent's own
                 # cell; own cells are distinct, targets are unoccupied,
                 # so none of these writes alias across agents
@@ -88,10 +89,7 @@ def _build_kernels(decorate):
                     pos[lane, agent] = front
                 else:
                     occ_pad[lane, here] = agent + 1
-                direction[lane, agent] = (
-                    direction[lane, agent] + turn_increments[turn_tbl[row]]
-                ) % n_directions
-                state[lane, agent] = next_state_tbl[row]
+                code[lane, agent] = next_code_tbl[row]
 
     def exchange_kernel(n, n_agents, n_words, n_directions,
                         pos, neigh_table, occ_pad, know_padded, gather):
@@ -152,14 +150,10 @@ class _KernelBackend(StepBackend):
 
     def step_active(self, sim, n):
         self._step_kernel(
-            n, sim.n_agents, sim._n_cells, sim.n_states, sim.n_colors,
-            sim._n_directions, sim._move.shape[1],
-            sim._pos, sim._direction, sim._state, sim._species,
-            sim._next_state.reshape(-1), sim._set_color.reshape(-1),
-            sim._move.reshape(-1), sim._turn.reshape(-1),
-            sim._front_flat, sim._turn_increments,
-            sim._colors_pad, sim._occ_pad, sim._winner,
-            sim._b_front, sim._b_wide, sim._m_req, sim._m_focc,
+            n, sim.n_agents, sim.n_colors, sim._code_span, sim._pos,
+            sim._code, sim._heading_base, sim._move_bit, sim._set_color,
+            sim._next_code, sim._front_flat, sim._colors_pad, sim._occ_pad,
+            sim._winner, sim._b_idx, sim._b_tidx, sim._m_req, sim._m_focc,
         )
 
     def exchange_active(self, sim, n):

@@ -3,19 +3,25 @@
 One synchronous CA step over all active lanes at once, as a fixed
 sequence of whole-array ``take`` gathers, scatters and elementwise ufuncs
 over the simulator's preallocated scratch buffers: precomputed neighbour
-and rotation kernels and zero-allocation stepping.  Every operation
-writes into an ``out=`` buffer, and the choice among ufuncs is made by
-measured cost per lane-step:
+kernels, composite transition tables and zero-allocation stepping.
+Every operation writes into an ``out=`` buffer, and the choice among
+ufuncs is made by measured cost per lane-step:
 
-* cell fields and FSM tables are gathered into scratch of their own
-  narrow dtype (int8/int16); a narrow value that builds a table index is
-  first copied into int64 scratch, so no narrow arithmetic can overflow
-  (and a widening copy plus a same-dtype ufunc beats a mixed-dtype one);
+* each agent's heading, FSM table row and control state are one int64
+  control code, and the FSM tables are composed with the heading
+  rotation into three composite tables indexed by ``x * D*R*S + code``
+  (see :mod:`repro.core.vectorized`).  The front cell is one gather of
+  the code's heading block plus the position; the free-front table index
+  is one gather per colour (the narrow colours index small int64 scale
+  tables, so no narrow arithmetic can overflow and nothing is widened by
+  copy) plus the code; the move request is ``move_bit > front_occupied``;
 * masked copies are written as arithmetic selects,
   ``a + mask * (b - a)``, which numpy runs several times faster than
   ``copyto(..., where=mask)``;
-* the heading update is one gather from the rotation table rather than
-  an add and a ``remainder``;
+* the slices of the step's arrays to the active rows are cached and
+  rebuilt only when the active count changes, and per-step "any" tests
+  are ``np.count_nonzero``, which costs a third of ``ndarray.any()`` on
+  a small mask;
 * gathers call the ``ndarray.take`` method, which skips the Python-level
   dispatch of ``np.take``.  The three gathers of the direction-major
   exchange also pass ``mode="clip"``, which writes straight into ``out``
@@ -63,29 +69,38 @@ per simulator from the world's occupancy:
   S breaks even only at k = 176, so S worlds between 0.5 and 0.69
   would still exchange faster by gathers).
 
-Moves go through a conflict arena, one cell field per lane in which the
-lowest requesting agent ID wins each contested free cell:
+Phase 2 reads the table row of the actual input, one block of ``D*R*S``
+further on when the agent is blocked: one gather gives the set colour,
+written to the agent's own cell, and one writes the next code -- new
+heading, same row, next state -- straight into the code array.  Moves go
+through a conflict arena, one cell field per lane in which the lowest
+requesting agent ID wins each contested free cell:
 
 * **One-scatter arena.**  Every requester writes its ID to its front
-  cell in one scatter (non-requesters write to their lane's void cell,
-  which nobody reads), and one gather reads the cells back.  Whatever
-  order numpy applies duplicate writes in, each requested cell then
-  holds one of its requesters' IDs, and every other requester of it
-  reads a foreign ID.  Those requesters are exactly the losers of a
-  contest, and a ``minimum.at`` over only their cells and IDs, plus a
-  second gather, leaves the lowest ID in every contested cell.  Every
-  requested cell is written before it is read, so the arena is never
+  cell in one scatter (non-requesters write to their own cell, which no
+  requester targets, since requested cells are free), and one gather
+  reads the cells back.  Whatever order numpy applies duplicate writes
+  in, each requested cell then holds one of its requesters' IDs, and
+  every other requester of it reads a foreign ID, while a non-requester
+  always reads its own.  The agents reading a foreign ID are exactly the
+  losers of a contest, and a ``minimum.at`` over only their cells and
+  IDs, plus a second gather, leaves the lowest ID in every contested
+  cell.  Every cell is written before it is read, so the arena is never
   reset.
 * **No-request steps.**  When no agent requests a free front cell -- on
   a full torus, never -- nobody can lose a conflict or move, so the
   conflict arena and both occupancy scatters are skipped and ``blocked``
   is just "front cell occupied".
+* **Two-scatter moves.**  No winner's target is any agent's old cell, so
+  a move clears every agent's old cell and then writes every agent's new
+  one (a staying agent's new cell is its old one).
 
 The fast-path and backend test suites pin it bit-exact against the
 scalar reference simulation, the frozen legacy stepper and the
 interpreted kernel twin; ``tests/test_agent_exchange.py`` and
 ``tests/test_dense_exchange.py`` cover the two exchange paths and the
-arena.
+arena, and ``tests/test_control_code.py`` the control code and its
+tables.
 """
 
 import numpy as np
@@ -126,35 +141,48 @@ class _AgentExchange:
         self.index = np.empty(size, dtype=np.int64)
         self.occupant = np.empty(size, dtype=sim._occ_pad.dtype)
         self.words = np.empty(size * n_words, dtype=np.uint64)
+        self.n = None
+
+    def _blocks(self, sim, n):
+        """Per lane block of rows ``[0, n)``: the block's rows of the
+        simulator arrays and its views of the scratch, cached until the
+        active count changes."""
+        if n != self.n:
+            n_directions, n_agents = sim._n_directions, sim.n_agents
+            n_words = sim._mask.size
+            self.n, self.blocks = n, []
+            for lo in range(0, n, self.lanes):
+                hi = min(n, lo + self.lanes)
+                shape = (n_directions, hi - lo, n_agents)
+                size = n_directions * (hi - lo) * n_agents
+                self.blocks.append((
+                    sim._pos[lo:hi], sim._row_pad[lo:hi],
+                    sim._row_know[lo:hi], sim._w_gather[lo:hi],
+                    sim._know_padded[lo:hi, 1:],
+                    self.index[:size].reshape(shape),
+                    self.occupant[:size].reshape(shape),
+                    self.words[:size * n_words].reshape(shape + (n_words,)),
+                ))
+        return self.blocks
 
     def exchange(self, sim, n):
         """Each agent's own knowledge OR its neighbours', into
         ``sim._w_gather[:n]``."""
-        n_directions, n_agents = sim._n_directions, sim.n_agents
-        n_words = sim._mask.size
         occ_flat = sim._occ_pad.reshape(-1)
-        know_rows = sim._know_padded.reshape(-1, n_words)
-        for lo in range(0, n, self.lanes):
-            hi = min(n, lo + self.lanes)
-            shape = (n_directions, hi - lo, n_agents)
-            size = n_directions * (hi - lo) * n_agents
-            index = self.index[:size].reshape(shape)
-            occupant = self.occupant[:size].reshape(shape)
-            words = self.words[:size * n_words].reshape(shape + (n_words,))
+        know_rows = sim._know_padded.reshape(-1, sim._mask.size)
+        for (pos, row_pad, row_know, gather, own, index, occupant,
+             words) in self._blocks(sim, n):
             # every direction's neighbour cell, then its occupant's
             # knowledge row (agent i holds row i + 1; empty, obstacle and
             # void cells read the all-zero row 0 of their lane)
-            sim._neigh_table.take(
-                sim._pos[lo:hi], axis=1, out=index, mode="clip"
-            )
-            np.add(index, sim._row_pad[lo:hi], out=index)
+            sim._neigh_table.take(pos, axis=1, out=index, mode="clip")
+            np.add(index, row_pad, out=index)
             occ_flat.take(index, out=occupant, mode="clip")
             np.copyto(index, occupant)
-            np.add(index, sim._row_know[lo:hi], out=index)
+            np.add(index, row_know, out=index)
             know_rows.take(index, axis=0, out=words, mode="clip")
-            gather = sim._w_gather[lo:hi]
             np.bitwise_or.reduce(words, axis=0, out=gather)
-            np.bitwise_or(gather, sim._know_padded[lo:hi, 1:], out=gather)
+            np.bitwise_or(gather, own, out=gather)
 
 
 class _CellStencil:
@@ -236,41 +264,50 @@ class _CellStencil:
             )
 
 
-def _resolve_conflicts(sim, n, front, front_g, requests, front_occupied):
-    """The lowest agent ID wins each contested front cell; returns the
-    ``(blocked, movers)`` masks of rows ``[0, n)``."""
-    agent_ids = sim._agent_ids[:n]
-    not_buf = sim._m_not[:n]
+class _ActiveViews:
+    """Arrays sliced to their first ``n`` working rows, cached.
+
+    Compaction swaps row contents in place, so a slice stays valid until
+    the active count changes; the slices are rebuilt only then.
+    """
+
+    def __init__(self, *arrays):
+        self.arrays = arrays
+        self.n = None
+        self.views = None
+
+    def __call__(self, n):
+        if n != self.n:
+            self.n = n
+            self.views = tuple(array[:n] for array in self.arrays)
+        return self.views
+
+
+def _resolve_conflicts(sim, requests, front_occupied, here_g, step,
+                       agent_ids, target, won, lost, blocked, movers):
+    """The lowest agent ID wins each contested front cell; fills the
+    ``blocked`` and ``movers`` masks.  ``step`` is front minus own cell."""
     winner_flat = sim._winner.reshape(-1)
-    # non-requesters are redirected to their lane's void cell, which
-    # nobody reads: target = front_g + not_requesting * (void - front)
-    np.logical_not(requests, out=not_buf)
-    target = sim._b_idx[:n]
-    np.subtract(sim._void, front, out=target)
-    np.multiply(target, not_buf, out=target)
-    np.add(target, front_g, out=target)
-    # each requested cell keeps one of its requesters' ids, and the
-    # requesters reading another id back are exactly the contested ones
+    # requesters write to their front cell and everyone else to their
+    # own cell, which no requester targets (requested cells are free):
+    # target = here + requesting * (front - here)
+    np.multiply(step, requests, out=target)
+    np.add(target, here_g, out=target)
+    # each requested cell keeps one of its requesters' ids and each own
+    # cell its agent's, so the agents reading another id back are
+    # exactly the losers of a contest
     winner_flat[target] = agent_ids
-    won = sim._b_occ[:n]
-    lost = sim._m_lost[:n]
     winner_flat.take(target, out=won)
     np.not_equal(won, agent_ids, out=lost)
-    np.logical_and(lost, requests, out=lost)
-    if lost.any():
+    if np.count_nonzero(lost):
         # a contested cell holds one requester's id, and every other
         # requester lost: the minimum over the losers is the lowest id
         sim.counters.contested_steps += 1
         np.minimum.at(winner_flat, target[lost], agent_ids[lost])
         winner_flat.take(target, out=won)
         np.not_equal(won, agent_ids, out=lost)
-        np.logical_and(lost, requests, out=lost)
-    blocked = sim._m_blk[:n]
     np.logical_or(front_occupied, lost, out=blocked)
-    movers = sim._m_mov[:n]
-    np.logical_not(lost, out=not_buf)
-    np.logical_and(requests, not_buf, out=movers)  # == move & not blocked
-    return blocked, movers
+    np.greater(requests, lost, out=movers)  # == move & not blocked
 
 
 class NumpyStepBackend(StepBackend):
@@ -284,134 +321,100 @@ class NumpyStepBackend(StepBackend):
         free_cells = sim.environment.n_free_cells
         dense = sim.n_agents >= DENSE_OCCUPANCY * free_cells
         sim._exchange = (_CellStencil if dense else _AgentExchange)(sim)
+        sim._step_views = _ActiveViews(
+            sim._pos, sim._code, sim._row_pad, sim._agent_ids,
+            sim._occupant_ids, sim._b_idx, sim._b_here_g, sim._b_front_g,
+            sim._b_off, sim._b_tidx, sim._b_color, sim._b_frontcolor,
+            sim._b_occ, sim._m_move, sim._m_req, sim._m_focc, sim._m_lost,
+            sim._m_blk, sim._m_mov,
+        )
+        sim._know_views = _ActiveViews(
+            sim._w_gather, sim._know_padded[:, 1:], sim._w_flags,
+            sim._b_solved,
+        )
 
     def step_active(self, sim, n):
-        n_cells = sim._n_cells
-        n_states = sim.n_states
-        table_size = sim._move.shape[1]
-
-        pos = sim._pos[:n]
-        direction = sim._direction[:n]
-        state = sim._state[:n]
-        species = sim._species[:n]
-        agent_ids = sim._agent_ids[:n]
-        row_pad = sim._row_pad[:n]
+        (pos, code, row_pad, agent_ids, occupant_ids, idx, here_g, front_g,
+         off, tidx, color, frontcolor, occupant, move_bit, requests,
+         front_occupied, lost, blocked_buf, movers) = sim._step_views(n)
         colors_flat = sim._colors_pad.reshape(-1)
         occ_flat = sim._occ_pad.reshape(-1)
 
-        # front cell via the precomputed kernel: front_flat[direction * N + pos]
-        idx = sim._b_idx[:n]
-        front = sim._b_front[:n]
-        np.multiply(direction, n_cells, out=idx)
+        # front cell via the precomputed kernel: front_flat[heading * N +
+        # pos], the heading's block read off the code
+        sim._heading_base.take(code, out=idx)
         np.add(idx, pos, out=idx)
-        sim._front_flat.take(idx, out=front)
-
-        here_g = sim._b_here_g[:n]
-        front_g = sim._b_front_g[:n]
+        sim._front_flat.take(idx, out=front_g)
+        np.add(front_g, row_pad, out=front_g)
         np.add(pos, row_pad, out=here_g)
-        np.add(front, row_pad, out=front_g)
 
-        color = sim._b_color[:n]
-        frontcolor = sim._b_frontcolor[:n]
         colors_flat.take(here_g, out=color)
         colors_flat.take(front_g, out=frontcolor)
-        occupant = sim._b_occ[:n]
         occ_flat.take(front_g, out=occupant)
-        front_occupied = sim._m_focc[:n]
         np.not_equal(occupant, 0, out=front_occupied)
 
-        # phase 1: desire = move output assuming not blocked.  The table
-        # row is x * n_states + state with x = blocked + 2 * (color +
-        # n_colors * frontcolor) (for the paper's two colours, the Fig. 3
-        # bit packing); the colours are widened by copy before any
-        # arithmetic, so it all runs in int64
-        tidx = sim._b_tidx[:n]
-        wide = sim._b_wide[:n]
-        np.copyto(tidx, frontcolor)
-        np.multiply(tidx, sim.n_colors, out=tidx)
-        np.copyto(wide, color)
-        np.add(tidx, wide, out=tidx)
-        np.multiply(tidx, 2 * n_states, out=tidx)
-        np.add(tidx, state, out=tidx)
-        np.multiply(species, table_size, out=wide)
-        np.add(tidx, wide, out=tidx)
-        move_out = sim._b_move[:n]
-        sim._move.reshape(-1).take(tidx, out=move_out)
-        requests = sim._m_req[:n]
-        not_buf = sim._m_not[:n]
-        np.equal(move_out, 1, out=requests)
-        np.logical_not(front_occupied, out=not_buf)
-        np.logical_and(requests, not_buf, out=requests)
+        # phase 1: desire = move bit of the free-front input, at table
+        # index x * D*R*S + code with x = 2 * (color + n_colors *
+        # frontcolor) (for the paper's two colours, the Fig. 3 bit
+        # packing); the x term is one gather per colour
+        sim._color_scale.take(color, out=tidx)
+        sim._frontcolor_scale.take(frontcolor, out=off)
+        np.add(tidx, off, out=tidx)
+        np.add(tidx, code, out=tidx)
+        sim._move_bit.take(tidx, out=move_bit)
+        np.greater(move_bit, front_occupied, out=requests)
 
         # nobody requesting a free front cell (always so on a full torus)
         # means no conflict, no move, and blocked == front occupied: the
         # conflict arena and both occupancy scatters are skipped
-        moving = requests.any()
+        moving = np.count_nonzero(requests)
         if moving:
-            blocked, movers = _resolve_conflicts(
-                sim, n, front, front_g, requests, front_occupied
+            step = idx  # the front-cell index is not read again
+            np.subtract(front_g, here_g, out=step)
+            blocked = blocked_buf
+            _resolve_conflicts(
+                sim, requests, front_occupied, here_g, step, agent_ids,
+                off, occupant, lost, blocked, movers,
             )
         else:
             blocked = front_occupied
 
-        # phase 2: the actual FSM row, x + blocked (x_free is even, so
-        # | blocked == +), i.e. the phase-1 index + blocked * n_states
-        np.multiply(blocked, n_states, out=wide)
-        np.add(tidx, wide, out=tidx)
-        set_color = sim._b_color[:n]  # own colour is not read again
-        turn_code = sim._b_turn[:n]
-        sim._set_color.reshape(-1).take(tidx, out=set_color)
-        sim._turn.reshape(-1).take(tidx, out=turn_code)
-        next_state = sim._b_next[:n]
-        sim._next_state.reshape(-1).take(tidx, out=next_state)
-        np.copyto(state, next_state)
+        # phase 2: the actual table row, x + blocked, one block of D*R*S
+        # further on; the next code carries the new heading and state
+        np.multiply(blocked, sim._code_span, out=off)
+        np.add(tidx, off, out=tidx)
+        sim._set_color.take(tidx, out=color)  # own colour is not read again
+        sim._next_code.take(tidx, out=code)
 
         # setcolor always rewrites the flag of the cell the agent stands on
-        colors_flat[here_g] = set_color
+        colors_flat[here_g] = color
 
         if moving:
             # simultaneous movement: winners are unique per target cell,
             # and no target coincides with any agent's (occupied) old
-            # cell.  step = movers * (front - pos) moves both the flat
+            # cell, so clearing every old cell and writing every new one
+            # is exact.  movers * (front - here) moves both the flat
             # position and its global field index
-            occ_value = sim._b_occ[:n]
-            np.logical_not(movers, out=not_buf)
-            np.add(agent_ids, 1, out=occ_value)
-            np.multiply(occ_value, not_buf, out=occ_value)
-            occ_flat[here_g] = occ_value
-            step = front  # the front cell is not read again this step
-            np.subtract(front, pos, out=step)
+            occ_flat[here_g] = 0
             np.multiply(step, movers, out=step)
-            target = sim._b_idx[:n]
-            np.add(here_g, step, out=target)
-            np.add(agent_ids, 1, out=occ_value)
-            occ_flat[target] = occ_value
+            np.add(here_g, step, out=here_g)
+            occ_flat[here_g] = occupant_ids
             np.add(pos, step, out=pos)
-
-        # heading: one gather from the (direction, turn) rotation table
-        rotate_idx = sim._b_tidx[:n]
-        np.multiply(direction, sim._n_turns, out=rotate_idx)
-        np.copyto(wide, turn_code)
-        np.add(rotate_idx, wide, out=rotate_idx)
-        sim._rotate.take(rotate_idx, out=direction)
 
     def exchange_active(self, sim, n):
         # both exchange paths leave each agent's new knowledge in
         # _w_gather; one contiguous compare finds whether any word changed
         sim._exchange.exchange(sim, n)
-        gather = sim._w_gather[:n]
-        know = sim._know_padded[:n, 1:, :]
-        changed = sim._w_flags[:n]
+        gather, know, changed, _ = sim._know_views(n)
         np.not_equal(gather, know, out=changed)
-        if not changed.any():
+        if not np.count_nonzero(changed):
             return False
         np.copyto(know, gather)
         return True
 
     def solved_active(self, sim, n):
         # a lane is solved when every word of every agent equals the mask
-        informed = sim._w_flags[:n]
-        np.equal(sim._know_padded[:n, 1:, :], sim._mask_rows, out=informed)
-        solved = sim._b_solved[:n]
+        _, know, informed, solved = sim._know_views(n)
+        np.equal(know, sim._mask_rows, out=informed)
         informed.reshape(n, -1).all(axis=1, out=solved)
         return solved

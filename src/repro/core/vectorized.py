@@ -23,21 +23,34 @@ backend is bit-exact by construction and differs only in throughput.
 The stepper is built for throughput:
 
 * **Precomputed neighbour kernels** -- per-cell x per-direction flat
-  lookup tables for exchange neighbours and front cells, and a
-  (heading, turn) rotation table, are built once at construction, with
-  torus wrap, border walls and obstacles folded in; the hot loop is pure
-  ``take``/gather with no modulo arithmetic.
+  lookup tables for exchange neighbours and front cells are built once
+  at construction, with torus wrap, border walls and obstacles folded
+  in; the hot loop is pure ``take``/gather with no modulo arithmetic.
+* **Fused control code** -- an agent's heading ``d``, FSM table row
+  ``r`` and control state ``s`` change together on every step (the
+  paper's Mealy machine, Fig. 3), so they are kept as one int64 code
+  ``c = (d * R + r) * S + s`` per agent, ``R`` the number of distinct
+  table rows and ``S`` the state count.  At construction the FSM tables
+  and the heading rotation are composed into three flat tables indexed
+  by ``x * D*R*S + c``, ``x`` the input with the blocked bit: the move
+  bit (bool), the set colour, and the next code, whose heading already
+  carries the turn.  A step then reads one table entry per output
+  instead of gathering state, turn and next state separately and
+  rotating the heading.  The composite tables are ``D`` times the FSM
+  tables: 192 entries each for one of the paper's 4-state FSMs on T.
+  Rows are shared: a table row per distinct FSM object, not one per lane
+  (4 rows for a population of 4 FSMs over 1003 fields).
 * **Narrow cell fields** -- the colour field, the occupancy field and the
   conflict arena are stored in the narrowest signed integer that holds
   their values: colours in int8 while ``n_colors <= 127`` (else int16),
   occupancy and arena, which hold ``-1 .. k + 1``, in int8 while
-  ``k + 1 <= 127`` (else int16).  The FSM tables follow the same rule
-  and hold one row per distinct FSM object, not one per lane (4 rows
-  for a population of 4 FSMs over 1003 fields).  At thousands of lanes
-  an int64 field or table no longer fits the L2 cache, so this cuts
-  gather and scatter traffic.  It stays exact because every stored value
-  fits its dtype, and every table index built from a narrow value is
-  computed in int64.
+  ``k + 1 <= 127`` (else int16).  The set-colour table shares the colour
+  field's dtype and the move-bit table is bool; the next-code table is
+  int64 like the codes it writes.  At thousands of lanes an int64 field
+  no longer fits the L2 cache, so this cuts gather and scatter traffic.
+  It stays exact because every stored value fits its dtype, and every
+  table index built from a narrow colour is a gather from an int64 scale
+  table.
 * **Zero-allocation stepping** -- every per-step temporary (gathered
   knowledge, conflict winners, request masks, table indices) lives in a
   scratch buffer allocated once; steady-state ``step()`` performs no
@@ -80,8 +93,8 @@ is the *void* (exchange across a border reaches nothing), cell ``N + 1``
 is the *wall* (a front across a border is blocked and reads colour 0).
 
 Throughput counters are kept in :class:`repro.perf.counters.StepCounters`
-(``simulator.counters``); ``repro-a2a bench`` uses them to report
-lane-steps per second.
+(``simulator.counters``); perfbench's traced mode (``perfbench/run.py
+--trace 1``) reads them for its per-layer kernel metrics.
 """
 
 import itertools
@@ -268,9 +281,10 @@ class BatchSimulator:
         if any(config.n_agents != self.n_agents for config in configs):
             raise ValueError("all lanes must have the same number of agents")
 
-        # FSM tables hold one row per distinct FSM object; _species maps
-        # every (lane, agent) to the row of the behaviour controlling it,
-        # and row r holds FSM _row_sources[r] of the sequence given
+        # FSM tables hold one row per distinct FSM object; species maps
+        # every (lane, agent) to the row of the behaviour controlling it
+        # (broadcast to (B, k)), and row r holds FSM _row_sources[r] of the
+        # sequence given
         if agent_fsms is not None:
             if fsms is not None:
                 raise ValueError("pass either fsms or agent_fsms, not both")
@@ -283,19 +297,17 @@ class BatchSimulator:
                 list(map(id, agent_list))
             )
             species_list = [agent_list[agent] for agent in self._row_sources]
-            self._species = np.tile(agent_rows, (self.n_lanes, 1))
+            species = agent_rows[None, :]
         elif isinstance(fsms, (list, tuple)):
             if len(fsms) != self.n_lanes:
                 raise ValueError(f"{len(fsms)} FSMs for {self.n_lanes} lanes")
             self._row_sources, lane_rows = _share_rows(self._row_keys(fsms))
             species_list = [fsms[lane] for lane in self._row_sources]
-            self._species = np.repeat(lane_rows[:, None], self.n_agents, axis=1)
+            species = lane_rows[:, None]
         elif fsms is not None:
             self._row_sources = [0]
             species_list = [fsms]
-            self._species = np.zeros(
-                (self.n_lanes, self.n_agents), dtype=np.int64
-            )
+            species = 0
         else:
             raise ValueError("one of fsms or agent_fsms is required")
         self.n_states = species_list[0].n_states
@@ -314,28 +326,28 @@ class BatchSimulator:
         size = grid.size
         self._n_cells = size * size
         self._turn_increments = np.asarray(grid.turn_table(), dtype=np.int64)
-        self._n_turns = self._turn_increments.size
-
-        # FSM tables, each in the narrowest dtype of its range (set colours
-        # share the colour field's), so the tables stay cache resident
-        def table(field, top):
-            rows = [getattr(fsm, field) for fsm in species_list]
-            return np.stack(rows).astype(_narrow_int(top))
-
-        self._next_state = table("next_state", self.n_states)
-        self._set_color = table("set_color", self.n_colors)
-        self._move = table("move", 1)
-        self._turn = table("turn", self._n_turns)
-
         dx, dy = grid.direction_deltas()
         self._dx, self._dy = dx, dy
         self._n_directions = grid.n_directions
-        # heading after a turn: _rotate[direction * n_turns + turn_code]
-        self._rotate = (
-            np.arange(self._n_directions, dtype=np.int64)[:, None]
-            + self._turn_increments[None, :]
-        ).reshape(-1) % self._n_directions
         self._bordered = self.environment.bordered
+
+        # fused control code: heading, table row and control state of an
+        # agent in one integer, code = (heading * R + row) * S + state
+        self._n_rows = len(species_list)
+        self._code_span = self._n_directions * self._n_rows * self.n_states
+        self._move_bit, self._set_color, self._next_code = self._compose(
+            species_list
+        )
+        # the x-dependent part x * D*R*S of a table index, one gather per
+        # colour: x = blocked + 2 * (color + n_colors * frontcolor)
+        scale = 2 * self._code_span * np.arange(self.n_colors, dtype=np.int64)
+        self._color_scale = scale
+        self._frontcolor_scale = scale * self.n_colors
+        # code -> heading * N, the heading's block of the front-cell kernel
+        self._heading_base = np.repeat(
+            np.arange(self._n_directions, dtype=np.int64) * self._n_cells,
+            self._n_rows * self.n_states,
+        )
 
         n_lanes, n_agents, n_cells = self.n_lanes, self.n_agents, self._n_cells
 
@@ -376,9 +388,14 @@ class BatchSimulator:
         self._front_flat = front.reshape(-1)
 
         # -- agent state, shape (B, k); positions kept flat ----------------
-        self._pos, self._direction, self._state = self._agent_state(
-            configs, state_scheme
-        )
+        self._pos, code, state = self._agent_state(configs, state_scheme)
+        # code = (heading * R + row) * S + state, built in the heading array
+        code *= self._n_rows
+        code += species
+        code *= self.n_states
+        code += state
+        self._code = code
+        del state  # freed before the next (B, k) array is allocated
 
         # -- fields, shape (B, N + 2) with the two sentinel columns --------
         starting = self.environment.starting_colors().reshape(-1).astype(np.int64)
@@ -401,12 +418,13 @@ class BatchSimulator:
         self._agent_ids = np.tile(
             np.arange(n_agents, dtype=self._occ_dtype), (n_lanes, 1)
         )
+        self._occupant_ids = self._agent_ids + 1  # agent i's occupancy value
 
         occ_flat = self._occ_pad.reshape(-1)
         placement = self._pos + self._row_pad
         if (occ_flat[placement] < 0).any():
             raise ValueError("a configuration places an agent on an obstacle")
-        occ_flat[placement] = self._agent_ids + 1
+        occ_flat[placement] = self._occupant_ids
         occupied_counts = (self._occ_pad[:, :n_cells] > 0).sum(axis=1)
         if (occupied_counts != n_agents).any():
             raise ValueError("a configuration places two agents on one cell")
@@ -426,39 +444,35 @@ class BatchSimulator:
         ints = lambda: np.empty((n_lanes, n_agents), dtype=np.int64)  # noqa: E731
         bools = lambda: np.empty((n_lanes, n_agents), dtype=bool)     # noqa: E731
         self._b_idx = ints()      # generic index scratch
-        self._b_front = ints()    # front cell per agent
         self._b_here_g = ints()   # global padded-field index of the own cell
         self._b_front_g = ints()  # global padded-field index of the front cell
-        self._b_wide = ints()     # int64 copy of a narrow value / row offset
+        self._b_off = ints()      # table-index term / move offset
         self._b_tidx = ints()     # table index
-        # narrow scratch, one per field or table dtype
+        # narrow scratch, one per field dtype
         narrow = lambda like: np.empty((n_lanes, n_agents), dtype=like.dtype)  # noqa: E731
         self._b_color = narrow(self._colors_pad)       # own colour / set colour
         self._b_frontcolor = narrow(self._colors_pad)  # front cell colour
-        self._b_occ = narrow(self._occ_pad)  # occupant / winner / new value
-        self._b_move = narrow(self._move)
-        self._b_next = narrow(self._next_state)
-        self._b_turn = narrow(self._turn)
+        self._b_occ = narrow(self._occ_pad)  # occupant / conflict winner
+        self._m_move = bools()    # move bit of the free-front table row
         self._m_req = bools()     # move requests
         self._m_focc = bools()    # front occupied / blocked front
         self._m_lost = bools()    # lost the conflict
         self._m_blk = bools()     # blocked input bit
         self._m_mov = bools()     # actually moving
-        self._m_not = bools()     # negation scratch
         self._m_informed = bools()
         self._b_solved = np.empty(n_lanes, dtype=bool)
         self._w_gather = np.empty((n_lanes, n_agents, n_words), dtype=np.uint64)
         # per-word compare flags: knowledge changed / word complete
         self._w_flags = np.empty(self._w_gather.shape, dtype=bool)
         # conflict arena: never cleared wholesale -- the numpy backend
-        # writes every requested front cell before reading it back, and
-        # the kernels reset each front cell before contesting it
+        # writes every cell it reads back in the same step, and the
+        # kernels reset each front cell before contesting it
         self._winner = np.full(
             (n_lanes, self._n_padded), n_agents, dtype=self._occ_dtype
         )
 
         # -- cycle-parking snapshot: each active row's state at _cycle_t --
-        self._cyc_key = ints()  # (pos * dirs + dir) * states + state
+        self._cyc_key = ints()  # pos * D*R*S + code
         self._cyc_known = np.empty(n_lanes, dtype=np.int64)  # knowledge bits
         self._cyc_colors = np.empty(
             (n_lanes, n_cells), dtype=self._color_dtype
@@ -469,10 +483,9 @@ class BatchSimulator:
         self._lane_order = np.arange(n_lanes, dtype=np.int64)
         self._n_active = n_lanes
         self._row_arrays = (
-            self._pos, self._direction, self._state, self._species,
-            self._lane_order, self._colors_pad, self._occ_pad,
-            self._know_padded, self._cyc_key, self._cyc_known,
-            self._cyc_colors,
+            self._pos, self._code, self._lane_order, self._colors_pad,
+            self._occ_pad, self._know_padded, self._cyc_key,
+            self._cyc_known, self._cyc_colors,
         )
 
         self.counters = StepCounters()
@@ -487,8 +500,39 @@ class BatchSimulator:
         """What lanes must share to share a table row: the FSM object."""
         return list(map(id, fsms))
 
+    def _compose(self, species_list):
+        """The FSM tables of ``species_list`` (one per row) composed with
+        the heading rotation into the move-bit, set-colour and next-code
+        tables, each indexed by ``x * D*R*S + code``.
+
+        The next code folds the turn into the heading:
+        ``(rotate(heading, turn) * R + row) * S + next_state``.
+        """
+        n_rows, n_states = self._n_rows, self.n_states
+        n_directions = self._n_directions
+
+        def field(name):
+            # (R, X * S) -> (X, D, R, S): every heading reads its row alike
+            rows = np.stack([getattr(fsm, name) for fsm in species_list])
+            rows = rows.reshape(n_rows, -1, n_states).transpose(1, 0, 2)
+            return np.repeat(rows[:, None], n_directions, axis=1)
+
+        heading = np.arange(n_directions, dtype=np.int64)[:, None, None]
+        turned = heading + self._turn_increments[field("turn")]
+        turned %= n_directions
+        next_code = turned * n_rows
+        next_code += np.arange(n_rows, dtype=np.int64)[:, None]
+        next_code *= n_states
+        next_code += field("next_state")
+        return (
+            (field("move") == 1).reshape(-1),
+            field("set_color").astype(self._color_dtype).reshape(-1),
+            next_code.reshape(-1),
+        )
+
     def _agent_state(self, configs, state_scheme):
-        """Flat positions, headings and control states, each ``(B, k)``.
+        """Flat positions, headings and control states, each ``(B, k)``
+        and ``int64``.
 
         Every distinct configuration object is read once, straight from
         its tuples, and lanes repeating one get copies of its rows.
@@ -554,12 +598,12 @@ class BatchSimulator:
     @property
     def direction(self):
         """Per-agent headings, shape ``(B, k)``, original lane order."""
-        return self._by_lane(self._direction)
+        return self._by_lane(self._code // (self._n_rows * self.n_states))
 
     @property
     def state(self):
         """Per-agent control states, shape ``(B, k)``, original lane order."""
-        return self._by_lane(self._state)
+        return self._by_lane(self._code % self.n_states)
 
     @property
     def backend_name(self):
@@ -613,7 +657,7 @@ class BatchSimulator:
             self.counters.exchange_early_outs += 1
             return
         solved = self._backend.solved_active(self, n)
-        if solved.any():
+        if np.count_nonzero(solved):
             self._retire(solved)
 
     def _retire(self, solved):
@@ -654,10 +698,8 @@ class BatchSimulator:
         """
         n = self._n_active
         key = self._b_idx[:n]
-        np.multiply(self._pos[:n], self._n_directions, out=key)
-        np.add(key, self._direction[:n], out=key)
-        np.multiply(key, self.n_states, out=key)
-        np.add(key, self._state[:n], out=key)
+        np.multiply(self._pos[:n], self._code_span, out=key)
+        np.add(key, self._code[:n], out=key)
         known = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _ROW_CHUNK):
             hi = min(n, lo + _ROW_CHUNK)

@@ -13,8 +13,6 @@ Both simulators are provided; they are checked equivalent by the tests.
 from repro.core.simulation import Simulation
 from repro.core.vectorized import BatchSimulator
 
-import numpy as np
-
 
 def _check_pair(fsm_even, fsm_odd):
     if fsm_even.n_states != fsm_odd.n_states:
@@ -58,9 +56,10 @@ class TimeShuffledBatchSimulator(BatchSimulator):
     ``fsm_even`` / ``fsm_odd`` are either one FSM each (shared by all
     lanes) or two equal-length lists of per-lane FSMs -- the form used to
     evaluate a whole population of *pairs* at once.  Implementation: both
-    table stacks are kept and swapped in before each step, so the hot
-    loop is unchanged.  Lanes share a table row when they share both the
-    even and the odd FSM object, so the two stacks have the same rows.
+    sets of composite tables are kept and swapped in before each step,
+    so the hot loop is unchanged.  Lanes share a table row when they
+    share both the even and the odd FSM object, so the two sets have the
+    same rows.
     """
 
     def __init__(self, grid, fsm_even, fsm_odd, configs, state_scheme=None,
@@ -76,17 +75,9 @@ class TimeShuffledBatchSimulator(BatchSimulator):
         self._odd_fsms = odd_list
         super().__init__(grid, fsm_even, configs, state_scheme=state_scheme,
                          environment=environment)
-        self._tables_even = (
-            self._next_state, self._set_color, self._move, self._turn,
-        )
-        odd_rows = [odd_list[source] for source in self._row_sources]
-        self._tables_odd = tuple(
-            np.stack([getattr(fsm, field) for fsm in odd_rows]).astype(
-                even.dtype
-            )
-            for field, even in zip(
-                ("next_state", "set_color", "move", "turn"), self._tables_even
-            )
+        self._tables_even = (self._move_bit, self._set_color, self._next_code)
+        self._tables_odd = self._compose(
+            [odd_list[source] for source in self._row_sources]
         )
 
     def _row_keys(self, fsms):
@@ -95,5 +86,5 @@ class TimeShuffledBatchSimulator(BatchSimulator):
 
     def step(self):
         tables = self._tables_even if self.t % 2 == 0 else self._tables_odd
-        self._next_state, self._set_color, self._move, self._turn = tables
+        self._move_bit, self._set_color, self._next_code = tables
         super().step()

@@ -18,9 +18,10 @@ subscription through :meth:`CampaignCell.__getitem__`.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Optional
+
+from repro._compat import warn_deprecated
 
 
 def _json_float(value):
@@ -30,15 +31,6 @@ def _json_float(value):
 
 def _from_json_float(value):
     return float("inf") if value is None else float(value)
-
-
-def warn_deprecated(old, new, stacklevel=3):
-    """Emit the one deprecation message format used across the package."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 @dataclass(frozen=True)

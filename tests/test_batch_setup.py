@@ -21,6 +21,7 @@ from repro.configs.types import InitialConfiguration, InitialStateScheme
 from repro.core.backends import numba_available
 from repro.core.environment import Environment
 from repro.core.fsm import FSM
+from repro.core.inputs import N_INPUT_COMBOS
 from repro.core.published import published_fsm
 from repro.core.vectorized import BatchSimulator
 from repro.evolution.fitness import suite_fingerprint
@@ -213,6 +214,23 @@ def test_mixed_colour_alphabets_across_distinct_fsms_rejected(agent_fsms):
 # -- shared rows ------------------------------------------------------------------
 
 
+def _table_rows(simulator):
+    """FSM rows behind a simulator's composite tables (the odd-step ones
+    too, when time-shuffled), each holding one block of inputs x headings
+    x states per row."""
+    block = N_INPUT_COMBOS * simulator._n_directions * simulator.n_states
+    tables = (simulator._move_bit, simulator._set_color,
+              simulator._next_code) + getattr(simulator, "_tables_odd", ())
+    for table in tables:
+        assert table.size == block * simulator._n_rows
+    return simulator._n_rows
+
+
+def _species(simulator):
+    """The table row of every working (lane, agent), read off its code."""
+    return simulator._code // simulator.n_states % simulator._n_rows
+
+
 def _assert_same_views(simulator, other):
     for view in _VIEWS:
         assert (getattr(simulator, view) == getattr(other, view)).all(), view
@@ -240,9 +258,9 @@ def test_shared_rows_equal_per_lane_copies(kind, backend):
     legacy = LegacyBatchSimulator(
         grid, [fsm for fsm in fsms for _ in fields], lane_configs
     )
-    assert shared._next_state.shape[0] == len(fsms)
-    assert copies._next_state.shape[0] == len(lane_configs)
-    assert (shared._species[:, 0] == np.repeat(np.arange(4), 5)).all()
+    assert _table_rows(shared) == len(fsms)
+    assert _table_rows(copies) == len(lane_configs)
+    assert (_species(shared) == np.repeat(np.arange(4), 5)[:, None]).all()
     for _ in range(40):
         _assert_same_views(shared, copies)
         _assert_same_views(shared, legacy)
@@ -269,7 +287,8 @@ def test_shared_agent_fsms_equal_legacy(backend):
                             backend=backend)
     legacy = LegacyBatchSimulator(grid, configs=configs,
                                   agent_fsms=agent_fsms)
-    assert shared._next_state.shape[0] == 2
+    assert _table_rows(shared) == 2
+    assert (_species(shared) == np.arange(6) % 2).all()
     for _ in range(30):
         _assert_same_views(shared, legacy)
         shared.step()
@@ -288,7 +307,7 @@ def test_shared_even_fsm_keeps_each_lanes_odd_fsm():
     batch = TimeShuffledBatchSimulator(
         grid, [even, even], odds, [config, config]
     )
-    assert batch._next_state.shape[0] == 2
+    assert _table_rows(batch) == 2
     references = [
         TimeShuffledSimulation(grid, even, odd, config) for odd in odds
     ]
@@ -319,7 +338,7 @@ def test_shared_pairs_share_rows():
     batch = TimeShuffledBatchSimulator(
         grid, [even] * 3 + [odd] * 3, [odd] * 3 + [even] * 3, configs * 2
     )
-    assert batch._next_state.shape[0] == 2
+    assert _table_rows(batch) == 2
     shared = batch.run(t_max=150)
     for lane, config in enumerate(configs * 2):
         pair = (even, odd) if lane < 3 else (odd, even)

@@ -124,6 +124,12 @@ def test_colour_alphabet_beyond_int8(kind, backend):
     for field in (simulator._colors_pad, simulator._set_color,
                   simulator._cyc_colors):
         assert field.dtype == np.int16
+    # the composite set-colour table holds every FSM's colours, once per
+    # heading, and needs the wide dtype
+    assert simulator._set_color.size == (
+        2 * 130 * 130 * grid.n_directions * len(fsms) * 2
+    )
+    assert simulator._set_color.max() > 127
     result = simulator.run(t_max=80)
     for lane, (fsm, config) in enumerate(zip(fsms, configs)):
         scalar = MulticolorSimulation(grid, fsm, config)

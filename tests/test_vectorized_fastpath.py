@@ -228,9 +228,9 @@ class TestScratchBuffers:
         tracked = (
             simulator._w_gather, exchange.index, exchange.occupant,
             exchange.words, simulator._winner,
-            simulator._b_idx, simulator._b_wide, simulator._b_color,
-            simulator._b_occ, simulator._b_move, simulator._b_next,
-            simulator._b_turn, simulator._m_req, simulator._m_informed,
+            simulator._b_idx, simulator._b_off, simulator._b_color,
+            simulator._b_occ, simulator._m_move, simulator._b_tidx,
+            simulator._code, simulator._m_req, simulator._m_informed,
         )
         before = [buffer.__array_interface__["data"][0] for buffer in tracked]
         for _ in range(20):

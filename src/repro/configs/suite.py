@@ -1,6 +1,8 @@
 """Configuration suites: the paper's 1000 random + 3 manual fields."""
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 from repro.configs.random_configs import random_configurations
@@ -17,9 +19,32 @@ DEFAULT_N_RANDOM = 1000
 DEFAULT_SEED = 2013
 
 
+def digest_configurations(configurations):
+    """SHA-256 hex digest over an iterable of initial configurations.
+
+    Hashes every configuration's positions, headings and initial control
+    states, in order, so two sequences share a digest exactly when they
+    would make any FSM behave identically.  This is the one hashing of
+    suite contents; :attr:`ConfigSuite.fingerprint` and
+    :func:`repro.evolution.fitness.suite_fingerprint` both go through it.
+    """
+    digest = hashlib.sha256()
+    for config in configurations:
+        digest.update(
+            repr((config.positions, config.directions, config.states)).encode()
+        )
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class ConfigSuite:
-    """An evaluation suite: metadata plus the configurations themselves."""
+    """An evaluation suite: metadata plus the configurations themselves.
+
+    The suite is immutable, so its content digest (:attr:`fingerprint`)
+    is computed on first use and kept: every evaluation request, cache
+    key and batch key over one suite object hashes its configurations
+    once, not once per use.
+    """
 
     grid_kind: str
     grid_size: int
@@ -30,6 +55,15 @@ class ConfigSuite:
     @property
     def n_fields(self):
         return len(self.configurations)
+
+    @cached_property
+    def fingerprint(self):
+        """:func:`digest_configurations` of the configurations, cached.
+
+        Stored in the instance ``__dict__`` (which a frozen dataclass
+        still has), so it travels with the suite through pickling.
+        """
+        return digest_configurations(self.configurations)
 
     def __iter__(self):
         return iter(self.configurations)

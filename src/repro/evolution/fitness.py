@@ -28,13 +28,13 @@ backend (:mod:`repro.core.backends`); backends are bit-exact, so cache
 keys deliberately ignore the choice.
 """
 
-import hashlib
 import multiprocessing
 import threading
 
 import numpy as np
 
 from repro._compat import renamed_kwargs, warn_deprecated
+from repro.configs.suite import ConfigSuite, digest_configurations
 from repro.core.metrics import FITNESS_WEIGHT
 from repro.core.vectorized import BatchSimulator
 from repro.results import EvaluationResult
@@ -259,16 +259,17 @@ def suite_fingerprint(suite):
     """Content digest identifying a suite for evaluation-cache keys.
 
     Hashes every configuration's positions, headings and initial control
-    states, so two suites share a fingerprint exactly when they would
-    make any FSM behave identically -- regardless of how the suite
-    object was built or what it is named.
+    states (:func:`repro.configs.suite.digest_configurations`), so two
+    suites share a fingerprint exactly when they would make any FSM
+    behave identically -- regardless of how the suite object was built
+    or what it is named.  A :class:`repro.configs.ConfigSuite` hashes
+    once and returns its cached :attr:`~repro.configs.ConfigSuite.fingerprint`
+    on every later call; any other iterable of configurations is hashed
+    afresh, to the same digest.
     """
-    digest = hashlib.sha256()
-    for config in suite:
-        digest.update(
-            repr((config.positions, config.directions, config.states)).encode()
-        )
-    return digest.hexdigest()
+    if isinstance(suite, ConfigSuite):
+        return suite.fingerprint
+    return digest_configurations(suite)
 
 
 def evaluation_cache_key(grid, suite_fp, t_max, fsm):

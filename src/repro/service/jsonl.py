@@ -82,17 +82,23 @@ def copy_future(original):
         if not copy.set_running_or_notify_cancel():
             return  # this consumer cancelled its view; others stand
         try:
-            if done.cancelled():
-                copy.set_exception(CancelledError())
-            elif done.exception() is not None:
-                copy.set_exception(done.exception())
-            else:
-                copy.set_result(done.result())
+            _set_outcome(copy, done)
         except InvalidStateError:
             pass
 
     original.add_done_callback(transfer)
     return copy
+
+
+def _set_outcome(target, done):
+    """Settle ``target`` like ``done``; a cancellation becomes a
+    :class:`CancelledError` exception."""
+    if done.cancelled():
+        target.set_exception(CancelledError())
+    elif done.exception() is not None:
+        target.set_exception(done.exception())
+    else:
+        target.set_result(done.result())
 
 
 class IdempotencyRegistry:
@@ -103,6 +109,10 @@ class IdempotencyRegistry:
     the original, so retries share one evaluation and cancellation
     never propagates between consumers.  Oldest entries are evicted
     past ``max_entries`` -- an idempotency window, not a ledger.
+
+    Once an original settles its entry is swapped for a fresh future
+    with the same outcome, so a kept key holds that outcome, not the
+    consumers that attached to it.
     """
 
     def __init__(self, max_entries=4096):
@@ -132,6 +142,7 @@ class IdempotencyRegistry:
         work, not to make one transient failure permanent for every
         retry that follows it.
         """
+        fresh = False
         with self._lock:
             original = self._futures.get(key)
             if original is not None and original.done() and (
@@ -142,12 +153,34 @@ class IdempotencyRegistry:
             if original is None:
                 self.misses += 1
                 original = submit()
+                fresh = True
                 self._futures[key] = original
                 while len(self._futures) > self.max_entries:
                     self._futures.pop(next(iter(self._futures)))
             else:
                 self.hits += 1
-        return copy_future(original)
+        copy = copy_future(original)
+        if fresh:
+            # added outside the lock: a submission that settled already
+            # runs this callback at once, in this thread
+            original.add_done_callback(
+                lambda done: self._settle(key, done)
+            )
+        return copy
+
+    def _settle(self, key, original):
+        """Swap ``key``'s settled original for a future with its outcome.
+
+        ``concurrent.futures.Future`` keeps its done-callbacks for life,
+        so a settled original still holds every consumer's
+        :func:`copy_future` (and whatever that copy holds, such as an
+        asyncio wrapper).  The swapped-in future holds no callbacks.
+        """
+        settled = Future()
+        _set_outcome(settled, original)
+        with self._lock:
+            if self._futures.get(key) is original:
+                self._futures[key] = settled
 
     def stats(self):
         with self._lock:
@@ -165,11 +198,16 @@ class ServeSession:
 
     ``journal`` (a :class:`repro.resilience.durability.RequestJournal`)
     arms write-ahead logging: every evaluation spec is journalled --
-    durably, before dispatch -- under an idempotency key (the client's,
-    or a fresh one for bare clients), and marked committed when its
-    results land in the cache.  :meth:`replay_journal` resubmits the
-    uncommitted suffix after a crash; clients re-issuing their original
-    keys attach to the replayed futures.
+    durably, before dispatch -- under a key, and marked committed when
+    its results land in the cache.  The key is the client's ``idem``,
+    or a fresh one for a bare spec; only client keys enter the
+    idempotency registry, because a fresh key is never sent again.
+    :meth:`replay_journal` resubmits the uncommitted suffix after a
+    crash; clients re-issuing their original keys attach to the
+    replayed futures.
+
+    Grids and suites are kept per workload, so a suite is built -- and
+    its fingerprint hashed -- once per session, not once per request.
     """
 
     def __init__(self, service, journal=None, replicator=None):
@@ -256,29 +294,26 @@ class ServeSession:
     def _journaled_submit(self, idem, spec, record=True):
         """Submit under the write-ahead journal: accept, dispatch, commit.
 
-        ``record=False`` is the replay path -- the accept line already
-        exists, so only the commit callback is re-armed.
+        Returns the original future.  ``record=False`` is the replay
+        path -- the accept line already exists, so only the commit
+        callback is re-armed.
         """
+        request = self.build_request(spec)   # validate before journaling
+        if record:
+            self.journal.accept(idem, spec)
+        future = self.service.submit(request)
 
-        def submit():
-            request = self.build_request(spec)   # validate before journaling
-            if record:
-                self.journal.accept(idem, spec)
-            future = self.service.submit(request)
+        def mark_committed(done):
+            if done.cancelled() or done.exception() is not None:
+                return   # uncommitted: the next restart replays it
+            try:
+                self.journal.commit(idem)
+            except OSError:
+                pass   # a lost commit costs one replay, never a result
 
-            def mark_committed(done):
-                if done.cancelled() or done.exception() is not None:
-                    return   # uncommitted: the next restart replays it
-                try:
-                    self.journal.commit(idem)
-                except OSError:
-                    pass   # a lost commit costs one replay, never a result
-
-            future.add_done_callback(mark_committed)
-            self._arm_replication(spec, request, future)
-            return future
-
-        return self.idempotency.resolve(idem, submit)
+        future.add_done_callback(mark_committed)
+        self._arm_replication(spec, request, future)
+        return future
 
     def submit_spec(self, spec):
         """Submit one decoded request; ``(request_id, future)``.
@@ -286,8 +321,11 @@ class ServeSession:
         A spec carrying ``"idem"`` goes through the idempotency
         registry: duplicates of an earlier key attach to the first
         submission instead of re-enqueueing the work.  With a journal
-        armed, every spec is write-ahead logged (bare specs get a fresh
-        key -- the journal needs an identity to correlate its commit).
+        armed, every spec is write-ahead logged.  A bare spec is
+        journalled under a fresh key (the journal needs an identity to
+        correlate its commit) but bypasses the registry, since no client
+        holds that key; it still gets a :func:`copy_future`, so a
+        consumer giving up never cancels journalled work.
         """
         request_id = spec.get("id") if isinstance(spec, dict) else None
         idem = spec.get("idem") if isinstance(spec, dict) else None
@@ -295,8 +333,12 @@ class ServeSession:
             self.hedged_requests += 1
         if self.journal is not None and isinstance(spec, dict):
             if idem is None:
-                idem = uuid.uuid4().hex
-            return request_id, self._journaled_submit(idem, spec)
+                return request_id, copy_future(
+                    self._journaled_submit(uuid.uuid4().hex, spec)
+                )
+            return request_id, self.idempotency.resolve(
+                idem, lambda: self._journaled_submit(idem, spec)
+            )
 
         def submit():
             request = self.build_request(spec)
@@ -323,7 +365,10 @@ class ServeSession:
         replayed = 0
         for idem, spec in self.journal.replay_entries():
             try:
-                self._journaled_submit(idem, spec, record=False)
+                self.idempotency.resolve(
+                    idem,
+                    lambda: self._journaled_submit(idem, spec, record=False),
+                )
             except (ValueError, KeyError, TypeError, ServiceError):
                 continue
             replayed += 1

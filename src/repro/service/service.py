@@ -114,6 +114,12 @@ class EvaluationRequest:
     is part of the key so one batch runs on one engine; it is *not*
     part of the per-FSM cache keys, because backends are bit-exact and
     a result computed on either engine is valid for both.
+
+    The suite digest comes from :func:`suite_fingerprint`, which a
+    :class:`repro.configs.ConfigSuite` answers from its cached
+    fingerprint: building a request over a suite the caller keeps (as
+    :class:`repro.service.jsonl.ServeSession` does) costs the same
+    whatever the suite's size.
     """
 
     def __init__(self, grid, fsms, suite, t_max=200, backend=None,

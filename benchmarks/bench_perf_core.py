@@ -1,70 +1,61 @@
 """Bench the optimized batch-simulator hot path against the frozen baseline.
 
-Reduced copies of the pinned ``repro-a2a bench`` scenarios (16 x 16,
-``k = 8``; fewer random fields so the tier-2 suite stays fast).  The
-optimized stepper must beat the pre-optimization
+The paper's stepping workload at reduced size (16 x 16, ``k = 8``, the
+published controller; fewer random fields so the tier-2 suite stays
+fast).  The optimized stepper must beat the pre-optimization
 :class:`LegacyBatchSimulator` on the same workload, and the chunked /
 sharded population evaluation must match the monolithic path while it is
 being timed.
 """
+
+import time
 
 import numpy as np
 from conftest import run_once
 
 from repro.configs.suite import paper_suite
 from repro.core.fsm import FSM
+from repro.core.published import published_fsm
 from repro.core.vectorized import BatchSimulator
 from repro.evolution.fitness import evaluate_population
 from repro.grids import make_grid
-from repro.perf.harness import PINNED_STEP_SCENARIOS, measure_steps, quick_scenario
 from repro.perf.reference import LegacyBatchSimulator
 
 N_FIELDS = 200
 
 
-def _scenario(kind):
-    pinned = next(s for s in PINNED_STEP_SCENARIOS if s.kind == kind)
-    return quick_scenario(pinned, n_fields=N_FIELDS)
+def _steps_per_sec(simulator_cls, kind):
+    """Lanes and steps per second of one timed ``run()`` on the suite."""
+    grid = make_grid(kind, 16)
+    configs = list(paper_suite(grid, 8, n_random=N_FIELDS, seed=2013))
+    simulator = simulator_cls(grid, published_fsm(kind), configs)
+    start = time.perf_counter()
+    result = simulator.run(t_max=200)
+    return len(configs), result.steps_executed / (time.perf_counter() - start)
+
+
+def _speedup_over_baseline(benchmark, kind):
+    n_lanes, rate = run_once(benchmark, _steps_per_sec, BatchSimulator, kind)
+    _, baseline = _steps_per_sec(LegacyBatchSimulator, kind)
+    speedup = rate / baseline
+    print()
+    print(
+        f"{kind}16_k8 ({n_lanes} lanes): {rate:.0f} steps/s vs "
+        f"baseline {baseline:.0f} steps/s -> {speedup:.2f}x"
+    )
+    return speedup
 
 
 def test_optimized_stepper_beats_baseline_s(benchmark):
-    scenario = _scenario("S")
-    record = run_once(benchmark, measure_steps, scenario, repeats=1)
-    baseline = measure_steps(
-        scenario, simulator_cls=LegacyBatchSimulator, repeats=1
-    )
-    speedup = record["steps_per_sec"] / baseline["steps_per_sec"]
-    print()
-    print(
-        f"S16_k8 ({record['n_lanes']} lanes): "
-        f"{record['steps_per_sec']:.0f} steps/s vs "
-        f"baseline {baseline['steps_per_sec']:.0f} steps/s "
-        f"-> {speedup:.2f}x"
-    )
-    assert speedup > 1.5
+    assert _speedup_over_baseline(benchmark, "S") > 1.5
 
 
 def test_optimized_stepper_beats_baseline_t(benchmark):
-    scenario = _scenario("T")
-    record = run_once(benchmark, measure_steps, scenario, repeats=1)
-    baseline = measure_steps(
-        scenario, simulator_cls=LegacyBatchSimulator, repeats=1
-    )
-    speedup = record["steps_per_sec"] / baseline["steps_per_sec"]
-    print()
-    print(
-        f"T16_k8 ({record['n_lanes']} lanes): "
-        f"{record['steps_per_sec']:.0f} steps/s vs "
-        f"baseline {baseline['steps_per_sec']:.0f} steps/s "
-        f"-> {speedup:.2f}x"
-    )
-    assert speedup > 1.5
+    assert _speedup_over_baseline(benchmark, "T") > 1.5
 
 
 def test_lane_compaction_on_solving_population(benchmark):
     # published controllers solve every field, exercising retirement
-    from repro.core.published import published_fsm
-
     grid = make_grid("T", 16)
     configs = list(paper_suite(grid, 8, n_random=N_FIELDS, seed=2013))
     fsm = published_fsm("T")

@@ -182,7 +182,11 @@ from repro.service import (  # noqa: F401
     WorkerPool,
     is_retryable_error,
 )
-from repro.service.jsonl import ServeSession, build_fsm  # noqa: F401
+from repro.service.jsonl import (  # noqa: F401
+    ServeSession,
+    build_fsm,
+    paper_workload,
+)
 from repro.service.transport import parse_address
 
 
@@ -209,9 +213,7 @@ def _as_fsms(fsm, kind):
 
 def _workload(grid, size, agents, fields, seed):
     kind = normalize_grid_kind(grid)
-    built = make_grid(kind, size)
-    suite = paper_suite(built, agents, n_random=fields, seed=seed)
-    return kind, built, suite
+    return (kind,) + paper_workload(kind, size, agents, fields, seed)
 
 
 @renamed_kwargs(tmax="t_max", workers="n_workers")

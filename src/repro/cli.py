@@ -13,7 +13,6 @@ and figure of the paper can be regenerated from the shell::
     repro-a2a ablation --which colors
     repro-a2a serve --workers 4   # evaluation service over JSON lines
     repro-a2a serve --tcp 127.0.0.1:7013 --cache eval_cache.jsonl --stats
-    repro-a2a bench --check-against BENCH_core.json   # perf gate
 """
 
 import argparse
@@ -170,156 +169,6 @@ def _cmd_evolve(args):
         f"{result.wall_seconds:.1f}s"
     )
     print(best.fsm.format_table(title="best evolved FSM:"))
-    return 0
-
-
-def _cmd_bench(args):
-    import json
-
-    from repro.perf.harness import append_bench_record, run_bench
-    from repro.perf.regression import check_regression, format_check
-
-    committed_log = None
-    if args.check_against:
-        try:
-            committed_log = json.loads(open(args.check_against).read())
-        except (OSError, ValueError):
-            committed_log = None
-
-    record = run_bench(
-        quick=args.quick,
-        include_baseline=not args.skip_baseline,
-        n_fields=args.fields,
-        n_generations=args.generations,
-        include_service=not args.skip_service,
-        service_workers=args.service_workers,
-        backend=args.backend,
-        include_bigworld=not args.skip_bigworld,
-        include_cluster=not args.skip_cluster,
-        include_gray=not args.skip_gray,
-        include_replication=not args.skip_replication,
-    )
-    path = append_bench_record(record, args.out)
-    for name, row in record["scenarios"].items():
-        line = (
-            f"{name}: {row['steps_per_sec']:10.1f} steps/s  "
-            f"{row['lane_steps_per_sec']:12.1f} lane-steps/s  "
-            f"({row['n_lanes']} lanes, {row['steps']} steps)"
-        )
-        if "speedup" in row:
-            line += (
-                f"  baseline {row['baseline_steps_per_sec']:10.1f} steps/s"
-                f"  speedup {row['speedup']:.2f}x"
-            )
-        print(line)
-    for kind, row in record["generations"].items():
-        print(
-            f"evolve {kind}: {row['generations_per_sec']:8.2f} generations/s  "
-            f"({row['n_generations']} generations, {row['n_fields']} fields)"
-        )
-    for name, row in record.get("bigworld", {}).items():
-        if name == "streamed":
-            print(
-                f"bigworld streamed {row['size']}x{row['size']}/"
-                f"k={row['n_agents']}: {row['fields_per_sec']:7.2f} "
-                f"fields/s  ({row['max_lanes_in_flight']} lanes in "
-                f"flight peak, {row['n_blocks']} blocks, "
-                f"backend {row['backend']})"
-            )
-            continue
-        for backend, backend_row in row.get("backends", {}).items():
-            line = (
-                f"bigworld {name} [{backend}]: "
-                f"{backend_row['steps_per_sec']:10.1f} steps/s  "
-                f"{backend_row['lane_steps_per_sec']:12.1f} lane-steps/s  "
-                f"({row['n_lanes']} lanes)"
-            )
-            if "speedup_vs_numpy" in backend_row:
-                line += f"  speedup {backend_row['speedup_vs_numpy']:.2f}x"
-            print(line)
-    for name, row in record.get("service", {}).items():
-        print(
-            f"service {name}: serial {row['serial_requests_per_sec']:7.2f} "
-            f"req/s  batched {row['batched_requests_per_sec']:7.2f} req/s  "
-            f"speedup {row['speedup']:.2f}x  "
-            f"replay {row['replay_requests_per_sec']:9.1f} req/s"
-        )
-    for name, row in record.get("transport", {}).items():
-        print(
-            f"transport {name}: {row['requests_per_sec']:7.2f} req/s over "
-            f"TCP ({row['n_clients']} clients)  in-process "
-            f"{row['in_process_requests_per_sec']:7.2f} req/s  "
-            f"relative {row['relative_to_in_process']:.2f}x"
-        )
-    for name, row in record.get("gateway", {}).items():
-        classes = row.get("classes", {})
-        per_class = "  ".join(
-            f"{label} p50 {cls['p50_seconds'] * 1000:6.1f} ms "
-            f"p99 {cls['p99_seconds'] * 1000:6.1f} ms"
-            for label, cls in sorted(classes.items())
-        )
-        print(
-            f"gateway {name}: {row['requests_per_sec']:7.2f} req/s over "
-            f"HTTP ({row['n_clients']} clients)  {per_class}"
-        )
-    for name, row in record.get("adaptive", {}).items():
-        print(
-            f"adaptive {name}: {row['adaptive_requests_per_sec']:7.2f} "
-            f"req/s  fixed {row['fixed_requests_per_sec']:7.2f} req/s  "
-            f"ratio {row['adaptive_over_fixed']:.2f}x"
-        )
-    for name, row in record.get("chaos", {}).items():
-        print(
-            f"chaos {name}: pool {row['pool']['jobs_per_sec']:7.2f} jobs/s "
-            f"({row['pool']['relative_to_clean']:.2f}x clean, "
-            f"{row['pool']['crash_recoveries']} recoveries)  transport "
-            f"{row['transport']['requests_per_sec']:7.2f} req/s "
-            f"({row['transport']['relative_to_clean']:.2f}x clean)"
-        )
-    for name, row in record.get("durability", {}).items():
-        print(
-            f"durability {name}: {row['requests_per_sec']:7.2f} req/s "
-            f"through kill -9 ({row['relative_to_clean']:.2f}x clean, "
-            f"{row['n_clients']} clients, {row['restarts']} restart(s), "
-            f"{row['replayed']} replayed)"
-        )
-    for name, row in record.get("cluster", {}).items():
-        per_node = "  ".join(
-            f"N={count}: {node_row['requests_per_sec']:7.2f} req/s"
-            for count, node_row in sorted(
-                row["nodes"].items(), key=lambda item: int(item[0])
-            )
-        )
-        print(
-            f"cluster {name}: {per_node}  ({row['n_clients']} clients, "
-            f"{row['n_requests']} requests each, bit-exact)"
-        )
-    for name, row in record.get("gray", {}).items():
-        print(
-            f"gray {name}: healthy "
-            f"{row['healthy_requests_per_sec']:7.2f} req/s  one-slow-node "
-            f"{row['gray_requests_per_sec']:7.2f} req/s "
-            f"({row['gray_over_healthy_ratio']:.0%} of healthy, "
-            f"{row['hedges']} hedges, "
-            f"{row['duplicate_simulations']} duplicate simulations)"
-        )
-    for name, row in record.get("replication", {}).items():
-        print(
-            f"replication {name}: cold failover "
-            f"{row['cold_requests_per_sec']:7.2f} req/s "
-            f"({row['cold_resimulated']} re-simulated)  warm failover "
-            f"{row['warm_requests_per_sec']:7.2f} req/s "
-            f"({row['warm_resimulated']} re-simulated, "
-            f"{row['warm_over_cold_ratio']:.2f}x cold)"
-        )
-    print(f"\nbenchmark record appended to {path}")
-    if args.check_against:
-        failures, notes = check_regression(
-            record, committed_log, threshold=args.regression_threshold
-        )
-        print(format_check(failures, notes))
-        if failures:
-            return 1
     return 0
 
 
@@ -1125,73 +974,6 @@ def build_parser():
              "completed stages",
     )
     sub.set_defaults(handler=_cmd_reproduce_all)
-
-    sub = subparsers.add_parser(
-        "bench", help="core perf benchmark; appends to BENCH_core.json"
-    )
-    sub.add_argument(
-        "--quick", action="store_true",
-        help="reduced fields/generations for smoke runs (e.g. CI)",
-    )
-    sub.add_argument(
-        "--out", default="BENCH_core.json",
-        help="benchmark trajectory log to append to",
-    )
-    sub.add_argument(
-        "--skip-baseline", action="store_true",
-        help="skip the pre-optimization baseline measurement",
-    )
-    sub.add_argument(
-        "--fields", type=int, default=None,
-        help="override the pinned random-field count",
-    )
-    sub.add_argument(
-        "--generations", type=int, default=None,
-        help="override the pinned GA generation count",
-    )
-    sub.add_argument(
-        "--skip-service", action="store_true",
-        help="skip the evaluation-service throughput measurement",
-    )
-    sub.add_argument(
-        "--service-workers", type=int, default=None,
-        help="worker processes for the service measurement (default: 1)",
-    )
-    sub.add_argument(
-        "--backend", default=None,
-        choices=["numpy", "numba", "pykernel"],
-        help="step backend for the pinned scenarios (default: numpy, or "
-             "REPRO_BACKEND); numba falls back to numpy with a warning "
-             "when not installed",
-    )
-    sub.add_argument(
-        "--skip-bigworld", action="store_true",
-        help="skip the big-world (33x33/64x64) backend measurements",
-    )
-    sub.add_argument(
-        "--skip-cluster", action="store_true",
-        help="skip the multi-node cluster throughput measurement",
-    )
-    sub.add_argument(
-        "--skip-gray", action="store_true",
-        help="skip the gray-failure (healthy vs one-slow-node fleet) "
-             "throughput comparison",
-    )
-    sub.add_argument(
-        "--skip-replication", action="store_true",
-        help="skip the replication failover (warm vs cold replica cache "
-             "after a node kill) throughput comparison",
-    )
-    sub.add_argument(
-        "--check-against", default=None, metavar="PATH",
-        help="perf gate: fail when steps/sec drops vs the last record "
-             "from comparable hardware in this trajectory log",
-    )
-    sub.add_argument(
-        "--regression-threshold", type=float, default=0.2,
-        help="fractional steps/sec drop that fails the gate (default 0.2)",
-    )
-    sub.set_defaults(handler=_cmd_bench)
 
     sub = subparsers.add_parser(
         "serve",

@@ -26,8 +26,8 @@ interchangeable compute engines:
 
 Selection order: an explicit ``backend=`` argument wins, then the
 ``REPRO_BACKEND`` environment variable, then ``numpy``.  Every backend
-is bit-exact-asserted against ``numpy`` in the test suite and in the
-``bigworld`` section of ``repro-a2a bench``.
+is bit-exact-asserted against ``numpy`` in the test suite
+(``tests/test_backends.py``).
 """
 
 import os
@@ -187,7 +187,7 @@ def make_batch_simulator(grid, fsms=None, configs=(), state_scheme=None,
 
 
 def backend_versions():
-    """Dependency versions behind the backends, for bench fingerprints."""
+    """Dependency versions behind the backends (numba ``None`` if absent)."""
     import numpy
     versions = {"numpy": numpy.__version__, "numba": None}
     try:

@@ -1,37 +1,24 @@
-"""Performance observability: counters, timing harness, benchmark records.
+"""Performance observability: hot-path counters and the frozen baseline.
 
 * :mod:`repro.perf.counters` -- per-simulator hot-path counters (the
   core simulator imports these, so they carry no further dependencies).
-* :mod:`repro.perf.harness` -- pinned benchmark scenarios, the timing
-  harness behind ``repro-a2a bench``, and the ``BENCH_core.json`` writer.
 * :mod:`repro.perf.reference` -- the pre-optimization batch simulator,
-  kept verbatim as the measured baseline the fast path is compared
-  against (and as one more equivalence anchor for the tests).
+  kept verbatim as the baseline the fast path is timed against in
+  ``benchmarks/bench_perf_core.py`` and as one more equivalence anchor
+  for the tests.
 
-The harness symbols are re-exported lazily: the core simulator imports
-``repro.perf.counters`` at import time, and eagerly importing the
-harness here would close a cycle back into :mod:`repro.core`.
+``LegacyBatchSimulator`` is re-exported lazily: the core simulator
+imports ``repro.perf.counters`` at import time, and eagerly importing
+the reference stepper here would close a cycle back into
+:mod:`repro.core`.
 """
 
 from repro.perf.counters import StepCounters
 
-_HARNESS_SYMBOLS = (
-    "BenchScenario",
-    "PINNED_STEP_SCENARIOS",
-    "append_bench_record",
-    "measure_generations",
-    "measure_steps",
-    "run_bench",
-)
-
-__all__ = ("StepCounters", "LegacyBatchSimulator") + _HARNESS_SYMBOLS
+__all__ = ("StepCounters", "LegacyBatchSimulator")
 
 
 def __getattr__(name):
-    if name in _HARNESS_SYMBOLS:
-        from repro.perf import harness
-
-        return getattr(harness, name)
     if name == "LegacyBatchSimulator":
         from repro.perf.reference import LegacyBatchSimulator
 

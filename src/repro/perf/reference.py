@@ -8,9 +8,9 @@ keep occupying rows of the working arrays until the whole batch ends.
 
 It exists for two reasons:
 
-* ``repro-a2a bench`` runs it next to the optimized stepper on the same
-  machine and records both throughputs in ``BENCH_core.json``, so the
-  speedup is a measured same-host ratio instead of a stale constant;
+* ``benchmarks/bench_perf_core.py`` times it next to the optimized
+  stepper on the same machine, so the speedup is a measured same-host
+  ratio instead of a stale constant;
 * the test suite checks the optimized stepper bit-exact against it (in
   addition to the scalar :class:`repro.core.simulation.Simulation`),
   which pins the fast path to the exact pre-optimization semantics.

@@ -125,7 +125,7 @@ SITE_KINDS = {
 
 #: The kinds :meth:`FaultPlan.random` draws from.  Frozen at the PR 4/7
 #: vocabulary: the latency kinds above are valid in hand-pinned plans
-#: (``chaos --gray``, the gray bench) but excluded from randomized
+#: (``chaos --gray``) but excluded from randomized
 #: draws, so existing seeded sweeps replay byte-identical schedules.
 RANDOM_SITE_KINDS = {
     SITE_POOL_JOB: (CRASH, HANG, SLOW),

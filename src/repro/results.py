@@ -2,11 +2,10 @@
 
 Before this module every layer carried its own result shape -- the
 fitness module's ``EvaluationOutcome``, Table 1's row class, the 33 x 33
-experiment's record, the campaign's plain row dicts, the bench
-harness's transport rows.  They are consolidated here as frozen
-dataclasses with a symmetric ``to_json()`` / ``from_json()`` pair so
-results survive any wire or file boundary (the TCP transport, the
-persistent evaluation-cache store, ``results.json``, ``BENCH_core.json``)
+experiment's record, the campaign's plain row dicts.  They are
+consolidated here as frozen dataclasses with a symmetric ``to_json()`` /
+``from_json()`` pair so results survive any wire or file boundary (the
+TCP transport, the persistent evaluation-cache store, ``results.json``)
 without per-module codecs.
 
 Compatibility: the old import paths and key spellings keep working for
@@ -189,7 +188,7 @@ class CampaignCell:
 
 @dataclass(frozen=True)
 class TransportBenchRecord:
-    """One TCP-transport throughput measurement of the bench harness."""
+    """One TCP-transport throughput measurement, against in-process."""
 
     kind: str
     size: int

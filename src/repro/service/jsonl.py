@@ -16,9 +16,9 @@ submission order::
      "n_fields": ..., "n_successful_fields": ...,
      "completely_successful": ...}]}
 
-Grids and suites are cached per spec inside a :class:`ServeSession`, so
-a burst of lines naming the same workload coalesces into one batch in
-the service.
+Grids and suites are built once per workload by :func:`paper_workload`
+and shared, so a burst of lines naming the same workload coalesces into
+one batch in the service.
 
 Two serving-robustness hooks also live here, shared by the stdio loop
 and the TCP transport:
@@ -33,6 +33,7 @@ and the TCP transport:
   dispatcher cannot stop ``health`` from reporting exactly that.
 """
 
+import functools
 import json
 import threading
 import uuid
@@ -47,6 +48,25 @@ from repro.core.published import published_fsm
 from repro.grids import make_grid
 from repro.resilience.deadline import DEADLINE_FIELD, Deadline
 from repro.service.service import EvaluationRequest, ServiceError
+
+
+#: How many distinct workloads :func:`paper_workload` keeps built.
+WORKLOAD_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=WORKLOAD_MEMO_SIZE)
+def paper_workload(kind, size, agents, fields, seed):
+    """The ``(grid, suite)`` a workload spec names, built once and shared.
+
+    Grids and suites are never mutated, so every caller naming the same
+    workload -- any :class:`ServeSession`, or :func:`repro.api.evaluate`
+    -- gets the same pair, and the suite's fingerprint is hashed once.
+    Only the ``WORKLOAD_MEMO_SIZE`` most recent workloads are kept, so
+    a client cycling through seeds cannot grow it.  ``kind`` must
+    already be canonical (``"S"``/``"T"``); pass arguments positionally.
+    """
+    grid = make_grid(kind, size)
+    return grid, paper_suite(grid, agents, n_random=fields, seed=seed)
 
 
 def build_fsm(spec):
@@ -206,8 +226,9 @@ class ServeSession:
     crash; clients re-issuing their original keys attach to the
     replayed futures.
 
-    Grids and suites are kept per workload, so a suite is built -- and
-    its fingerprint hashed -- once per session, not once per request.
+    Grids and suites come from :func:`paper_workload`, so a suite is
+    built -- and its fingerprint hashed -- once per workload, not once
+    per request.
     """
 
     def __init__(self, service, journal=None, replicator=None):
@@ -218,8 +239,6 @@ class ServeSession:
         # failover target already holds them
         self.replicator = replicator
         self.idempotency = IdempotencyRegistry()
-        self._grids = {}
-        self._suites = {}
         # hedging observability: how many submissions declared
         # themselves re-issued hedges, how many cancel ops arrived, and
         # how many actually reaped an in-flight submission
@@ -227,28 +246,14 @@ class ServeSession:
         self.cancel_ops = 0
         self.cancelled_in_flight = 0
 
-    def _grid(self, kind, size):
-        key = (kind, size)
-        if key not in self._grids:
-            self._grids[key] = make_grid(kind, size)
-        return self._grids[key]
-
-    def _suite(self, grid, n_agents, n_fields, seed):
-        key = (grid.kind, grid.size, n_agents, n_fields, seed)
-        if key not in self._suites:
-            self._suites[key] = paper_suite(
-                grid, n_agents, n_random=n_fields, seed=seed
-            )
-        return self._suites[key]
-
     def build_request(self, spec):
         """An :class:`EvaluationRequest` from one decoded wire spec."""
         if not isinstance(spec, dict):
             raise ValueError("request must be a JSON object")
         kind = normalize_grid_kind(spec.get("grid", "T"), warn=False)
-        grid = self._grid(kind, int(spec.get("size", 16)))
-        suite = self._suite(
-            grid,
+        grid, suite = paper_workload(
+            kind,
+            int(spec.get("size", 16)),
             int(spec.get("agents", 8)),
             int(spec.get("fields", 100)),
             int(spec.get("seed", 2013)),
@@ -429,8 +434,8 @@ class ServeSession:
         """The service snapshot plus idempotency/journal counters.
 
         This (not the bare service snapshot) is what the ``stats`` op
-        returns on both transports, so monitors and the bench chaos
-        section can assert on watchdog restarts and journal replays
+        returns on both transports, so monitors and the chaos tests
+        can assert on watchdog restarts and journal replays
         without a separate ``health`` round-trip.
         """
         payload = self.service.snapshot()

@@ -22,7 +22,7 @@ class LatencyHistogram:
     Buckets grow geometrically (``base`` per step from ``floor``
     seconds), so two ints per observation buy percentile estimates that
     are accurate to one bucket width -- good enough for the p50/p99 the
-    bench records, with no per-request allocation.
+    gateway exports, with no per-request allocation.
     """
 
     def __init__(self, base=1.25, floor=1e-4):

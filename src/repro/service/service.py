@@ -425,57 +425,66 @@ class EvaluationService:
     # -- dispatcher ---------------------------------------------------------
 
     def _dispatch_loop(self):
+        while not self._dispatch_round(self._queue.get()[2]):
+            pass
+
+    def _dispatch_round(self, item):
+        """Run one coalesced round starting at ``item``; ``True`` to stop.
+
+        A round's requests and futures are locals of this call, so they
+        are released when it returns -- not kept alive while the loop
+        blocks for the next request.
+        """
+        if item is _STOP:
+            return True
         stopping = False
-        while not stopping:
-            _, _, item = self._queue.get()
-            if item is _STOP:
+        batch = [item]
+        lanes = item[0].n_lanes
+        # Drain what is already queued -- the requests that can be
+        # coalesced this round -- up to the adaptive lane width.
+        # The priority queue hands interactive entries over first,
+        # so a round under pressure fills with interactive work
+        # before any queued bulk shard.  Whatever stays queued is
+        # simply the next round's batch.
+        while lanes < self.batcher.width:
+            try:
+                _, _, extra = self._queue.get_nowait()
+            except queue.Empty:
                 break
-            batch = [item]
-            lanes = item[0].n_lanes
-            # Drain what is already queued -- the requests that can be
-            # coalesced this round -- up to the adaptive lane width.
-            # The priority queue hands interactive entries over first,
-            # so a round under pressure fills with interactive work
-            # before any queued bulk shard.  Whatever stays queued is
-            # simply the next round's batch.
-            while lanes < self.batcher.width:
-                try:
-                    _, _, extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    stopping = True
-                    break
-                batch.append(extra)
-                lanes += extra[0].n_lanes
-            pressure = (
-                not stopping
-                and lanes >= self.batcher.width
-                and not self._queue.empty()
+            if extra is _STOP:
+                stopping = True
+                break
+            batch.append(extra)
+            lanes += extra[0].n_lanes
+        pressure = (
+            not stopping
+            and lanes >= self.batcher.width
+            and not self._queue.empty()
+        )
+        groups = {}
+        for request, future in batch:
+            # a request cancelled while queued (TCP timeout, client
+            # gone) is dropped here -- its simulation never runs
+            if not future.set_running_or_notify_cancel():
+                with self.stats.lock:
+                    self.stats.cancelled += 1
+                continue
+            # likewise a request whose deadline budget is gone (or
+            # cannot cover the observed batch p99) is refused before
+            # it can join a batch, instead of burning a worker
+            verdict = self._deadline_verdict(request)
+            if verdict is not None:
+                self._refuse_deadline(future, verdict)
+                continue
+            groups.setdefault(request.batch_key, []).append(
+                (request, future)
             )
-            groups = {}
-            for request, future in batch:
-                # a request cancelled while queued (TCP timeout, client
-                # gone) is dropped here -- its simulation never runs
-                if not future.set_running_or_notify_cancel():
-                    with self.stats.lock:
-                        self.stats.cancelled += 1
-                    continue
-                # likewise a request whose deadline budget is gone (or
-                # cannot cover the observed batch p99) is refused before
-                # it can join a batch, instead of burning a worker
-                verdict = self._deadline_verdict(request)
-                if verdict is not None:
-                    self._refuse_deadline(future, verdict)
-                    continue
-                groups.setdefault(request.batch_key, []).append(
-                    (request, future)
-                )
-            self.batcher.observe(
-                batch_lanes=lanes, n_groups=len(groups), pressure=pressure
-            )
-            for group in groups.values():
-                self._process_group(group)
+        self.batcher.observe(
+            batch_lanes=lanes, n_groups=len(groups), pressure=pressure
+        )
+        for group in groups.values():
+            self._process_group(group)
+        return stopping
 
     def _deadline_verdict(self, request):
         """Why this request must be refused now, or ``None`` to proceed."""

@@ -24,7 +24,7 @@ persistent cache, and clients re-issue in-flight requests under their
 original idempotency keys.
 
 The supervisor is importable (:class:`Supervisor`) for tests and the
-bench: ``start()`` runs the monitor loop on a thread, ``address`` is
+chaos batteries: ``start()`` runs the monitor loop on a thread, ``address`` is
 the pinned child address, ``kill_server()`` delivers the chaos.
 """
 

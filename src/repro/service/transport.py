@@ -389,7 +389,7 @@ class AsyncEvaluationServer(BaseAsyncServer):
 
         The session view folds in idempotency, pool-watchdog and
         journal counters, so the ``stats`` op alone is enough for a
-        monitor (or the bench) to assert on recovery behaviour.
+        monitor (or a test) to assert on recovery behaviour.
         """
         return {
             "transport": self.stats.snapshot(),

@@ -14,7 +14,9 @@ import threading
 
 import pytest
 
+import repro.service.jsonl as jsonl_module
 from repro import api
+from repro.configs.suite import paper_suite
 from repro.evolution.fitness import evaluate_population
 from repro.results import (
     CampaignCell,
@@ -66,6 +68,22 @@ class TestEvaluate:
         counters = cache.stats()
         assert counters["hits"] == 1
         assert counters["misses"] == 1
+
+    def test_repeated_cached_calls_build_the_suite_once(self, monkeypatch,
+                                                        serial):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return paper_suite(*args, **kwargs)
+
+        monkeypatch.setattr(jsonl_module, "paper_suite", counting)
+        jsonl_module.paper_workload.cache_clear()
+        cache = api.EvaluationCache()
+        for _ in range(5):
+            assert api.evaluate(cache=cache, **WORKLOAD) == serial[0]
+        assert len(built) == 1
+        assert cache.stats()["hits"] == 4
 
 
 class TestEvolve:

@@ -385,138 +385,42 @@ class TestBackendPlumbing:
             backend.solved_active(simulator, 0)
 
 
-class TestBigworldHarness:
-    """The bench's bigworld section: record shape, bit-exact gate."""
+@pytest.mark.skipif(not numba_available(), reason="numba not installed")
+class TestCompiledBigworld:
+    """The compiled engine on big worlds, bit-exact against numpy."""
 
-    def _tiny_scenarios(self):
-        from repro.perf.harness import BenchScenario
-
-        return (
-            BenchScenario(name="T12_k16", kind="T", size=12, n_agents=16,
-                          n_fields=2, seed=2013, t_max=20),
-        )
-
-    def test_measure_bigworld_record_shape(self):
-        from repro.perf.harness import measure_bigworld
-
-        section = measure_bigworld(
-            scenarios=self._tiny_scenarios(), repeats=1,
-            backends=["numpy"] + _kernel_backend_names(), streamed=False,
-        )
-        entry = section["T12_k16"]
-        assert entry["bit_exact"] is True
-        assert entry["n_agents"] == 16
-        for name in ["numpy"] + _kernel_backend_names():
-            row = entry["backends"][name]
-            assert row["backend"] == name
-            assert row["steps_per_sec"] > 0
-            assert row["lane_steps_per_sec"] > 0
-            if name != "numpy":
-                assert row["speedup_vs_numpy"] > 0
-
-    def test_bit_exact_gate_refuses_divergence(self):
-        from types import SimpleNamespace
-
-        from repro.perf.harness import _assert_batch_equal
-
-        grid = make_grid("T", 8)
+    def test_t33_k64_bit_exact(self):
+        grid = make_grid("T", 33)
         fsm = published_fsm("T")
-        configs = [random_configuration(grid, 4, np.random.default_rng(1))]
-        a = BatchSimulator(grid, fsm, configs).run(t_max=30)
-        b = SimpleNamespace(
-            success=a.success, t_comm=a.t_comm,
-            informed_agents=a.informed_agents,
-            steps_executed=a.steps_executed + 1,
-        )
-        _assert_batch_equal(a, a, "identical")   # sanity: no false alarm
-        with pytest.raises(AssertionError, match="diverged"):
-            _assert_batch_equal(a, b, "test")
+        configs = list(paper_suite(grid, 64, n_random=2, seed=2013))
+        reference = BatchSimulator(grid, fsm, configs).run(t_max=120)
+        compiled = BatchSimulator(
+            grid, fsm, configs, backend="numba"
+        ).run(t_max=120)
+        assert (compiled.success == reference.success).all()
+        assert (compiled.t_comm == reference.t_comm).all()
+        assert (compiled.informed_agents == reference.informed_agents).all()
+        assert compiled.steps_executed == reference.steps_executed
 
-    def test_measure_streamed_bigworld_bounded(self):
-        from repro.perf.harness import measure_streamed_bigworld
+    def test_streamed_64x64_k1024_bounded_and_bit_exact(self):
+        grid = make_grid("T", 64)
+        fsm = published_fsm("T")
 
-        row = measure_streamed_bigworld(
-            {"size": 12, "n_agents": 16, "n_fields": 3, "t_max": 10,
-             "lane_block": 1}
-        )
-        assert row["max_lanes_in_flight"] == 1
-        assert row["n_blocks"] == 3
-        assert row["fields_per_sec"] > 0
-        assert row["backend"] == "numpy"
+        def fields():
+            # never materialised: lanes in flight are set by lane_block
+            for index in range(2):
+                yield random_configuration(
+                    grid, 1024, np.random.default_rng(2013 + index)
+                )
 
-    def test_measure_steps_records_backend(self):
-        from repro.perf.harness import BenchScenario, measure_steps
-
-        scenario = BenchScenario(
-            name="tiny", kind="S", size=8, n_agents=4, n_fields=2,
-            seed=7, t_max=15,
-        )
-        row = measure_steps(scenario, repeats=1)
-        assert row["backend"] == "numpy"
-        legacy = measure_steps(
-            scenario, simulator_cls=LegacyBatchSimulator, repeats=1
-        )
-        assert legacy["backend"] == "legacy"
-
-    def test_software_fingerprint(self):
-        from repro.perf.harness import software_fingerprint
-
-        fingerprint = software_fingerprint()
-        assert fingerprint["backend"] == "numpy"
-        assert fingerprint["versions"]["numpy"] == np.__version__
-
-
-class TestRegressionGateBackends:
-    """The perf gate never compares rates across different engines."""
-
-    def _record(self, backend, rate, bigworld_backend=None, big_rate=100.0):
-        bigworld_backend = bigworld_backend or backend
-        return {
-            "timestamp": "t-new",
-            "hardware": {"machine": "x", "system": "y", "cpu_count": 1},
-            "scenarios": {
-                "S16_k8": {
-                    "n_lanes": 10, "t_max": 20, "backend": backend,
-                    "steps_per_sec": rate,
-                }
-            },
-            "bigworld": {
-                "big": {
-                    "n_lanes": 5, "t_max": 20,
-                    "backends": {
-                        bigworld_backend: {"backend": bigworld_backend,
-                                           "steps_per_sec": big_rate},
-                    },
-                }
-            },
-        }
-
-    def test_same_backend_regression_fails(self):
-        from repro.perf.regression import check_regression
-
-        old = self._record("numpy", 100.0)
-        old["timestamp"] = "t-old"
-        new = self._record("numpy", 10.0, big_rate=10.0)
-        failures, _ = check_regression(new, {"runs": [old, new]})
-        assert any("S16_k8" in failure for failure in failures)
-        assert any("bigworld" in failure for failure in failures)
-
-    def test_cross_backend_rows_are_skipped(self):
-        from repro.perf.regression import check_regression
-
-        old = self._record("numba", 1000.0, big_rate=1000.0)
-        old["timestamp"] = "t-old"
-        new = self._record("numpy", 10.0, big_rate=10.0)
-        failures, notes = check_regression(new, {"runs": [old, new]})
-        assert failures == []
-        assert any("skipped" in note for note in notes)
-
-    def test_pre_backend_records_default_to_numpy(self):
-        from repro.perf.regression import _scenario_comparable
-
-        old = {"n_lanes": 10, "t_max": 20}   # committed before backends
-        new = {"n_lanes": 10, "t_max": 20, "backend": "numpy"}
-        assert _scenario_comparable(new, old)
-        assert not _scenario_comparable(
-            dict(new, backend="numba"), old
-        )
+        outcomes = {}
+        stats = {}
+        for backend in ("numpy", "numba"):
+            stats[backend] = {}
+            outcomes[backend] = evaluate_population(
+                grid, [fsm], fields(), t_max=15, lane_block=2,
+                backend=backend, stream_stats=stats[backend],
+            )
+        assert outcomes["numba"] == outcomes["numpy"]
+        assert stats["numba"]["n_fields"] == 2
+        assert stats["numba"]["max_lanes_in_flight"] <= 2

@@ -30,6 +30,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.resilience.chaos import (
     fault_target,
+    gray_workload,
     pinned_workload,
     run_cluster_plan,
     shrink_plan,
@@ -468,6 +469,30 @@ class TestThreadFleet:
                 ).owner(batch_key(varied))
                 router.request(dict(varied))
                 assert router.stats()["routed"].get(expected_owner, 0) >= 1
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3])
+    def test_fleet_of_n_serves_many_keys_bit_exact(self, n_nodes):
+        # three suite seeds: several batch keys spread over the ring
+        workload = gray_workload(n_passes=3)
+        errors = []
+        with _ThreadFleet(n_nodes, start_agents=False) as fleet:
+
+            def drive():
+                try:
+                    with RouterClient([fleet.address("n0")]) as router:
+                        for spec, want in zip(
+                            workload.specs, workload.expected
+                        ):
+                            assert router.evaluate(**spec) == want
+                except Exception as exc:   # surfaced after join
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=drive) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        assert not errors
 
     def test_failover_reroutes_to_next_owner_bit_exact(self):
         workload = pinned_workload()

@@ -13,6 +13,7 @@ from repro.core.published import published_fsm
 from repro.core.simulation import Simulation
 from repro.core.vectorized import BatchResult, BatchSimulator, _full_mask, _pack_identity
 from repro.grids import SquareGrid, TriangulateGrid, make_grid
+from repro.perf import StepCounters
 
 
 def reference_trajectory(grid, fsm, config, steps):
@@ -267,3 +268,29 @@ class TestBatchResult:
             n_agents=2,
         )
         assert result.completely_successful
+
+
+class TestCounters:
+    def test_counters_accumulate(self):
+        grid = SquareGrid(8)
+        fsm = published_fsm("S")
+        configs = [
+            random_configuration(grid, 4, np.random.default_rng(seed))
+            for seed in range(6)
+        ]
+        simulator = BatchSimulator(grid, fsm, configs)
+        assert isinstance(simulator.counters, StepCounters)
+        assert simulator.counters.steps == 0
+        result = simulator.run(t_max=150)
+        counters = simulator.counters
+        assert counters.steps == result.steps_executed
+        assert 0 < counters.lane_steps <= len(configs) * counters.steps
+        assert counters.exchanges >= counters.steps
+        assert counters.retired_lanes == int(result.success.sum())
+        as_dict = counters.as_dict()
+        assert as_dict["steps"] == counters.steps
+        assert set(as_dict) == {
+            "steps", "lane_steps", "exchanges", "exchange_early_outs",
+            "compactions", "retired_lanes", "cycled_lanes", "dense_exchanges",
+            "contested_steps",
+        }

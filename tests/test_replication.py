@@ -15,7 +15,9 @@ Four layers, cheapest first:
 * :class:`ServeSession` wire ops: ``replicate`` and ``sync`` round
   trip through ``handle_op``; both refuse when replication is off.
 * end-to-end (``net`` + ``slow``): a 2-node fleet replicates a commit
-  so the non-owner's cache digest converges without it ever simulating.
+  so the non-owner's cache digest converges without it ever simulating,
+  and a 3-node fleet loses a replica mid-batch without re-simulating
+  anything (the ``chaos --kill-replica`` battery).
 """
 
 import json
@@ -529,3 +531,14 @@ class TestReplicatedFleet:
                 for service in stats.values()
             )
             assert received >= 1   # the peer got the records, not a rerun
+
+    def test_replica_kill_resimulates_nothing(self):
+        from repro.resilience.chaos import run_replication_kill
+
+        result = run_replication_kill(
+            n_nodes=3, n_clients=2, n_passes=1, log=lambda line: None,
+        )
+        assert result.ok, result.summary()
+        assert result.resimulated == 0
+        assert result.mismatches == 0
+        assert result.converged

@@ -3,7 +3,8 @@
 * a :class:`ConfigSuite` hashes its configurations once and keeps the
   digest, which equals a fresh hash of the same configurations;
 * a :class:`ServeSession` answering many requests over one workload
-  hashes that workload's suite once;
+  hashes that workload's suite once, and the shared workload memo
+  behind it stays bounded however many seeds clients send;
 * bare journaled requests are journaled (accept, then commit) but never
   enter the idempotency registry, so they cannot push a client's key out;
 * a settled keyed entry holds its outcome, not its consumers.
@@ -41,7 +42,11 @@ from repro.resilience.durability import (
     RequestJournal,
 )
 from repro.service import EvaluationService, IdempotencyRegistry
-from repro.service.jsonl import ServeSession
+from repro.service.jsonl import (
+    WORKLOAD_MEMO_SIZE,
+    ServeSession,
+    paper_workload,
+)
 
 T_MAX = 60
 
@@ -159,6 +164,7 @@ def test_hits_through_one_session_hash_the_suite_once(monkeypatch):
 
     monkeypatch.setattr(suite_module, "digest_configurations", counting)
     monkeypatch.setattr(fitness_module, "digest_configurations", counting)
+    paper_workload.cache_clear()   # the memo is shared process-wide
     n_requests = 12
     with EvaluationService(n_workers=1) as service:
         session = ServeSession(service)
@@ -169,6 +175,17 @@ def test_hits_through_one_session_hash_the_suite_once(monkeypatch):
     assert stats["simulated_fsms"] == 1
     assert stats["cache"]["hits"] == n_requests - 1
     assert len(calls) == 1
+
+
+def test_a_session_fed_many_seeds_keeps_a_bounded_memo():
+    session = ServeSession(_StalledService())
+    watch = weakref.ref(session.build_request(dict(_spec(0), seed=0)).suite)
+    for seed in range(1, WORKLOAD_MEMO_SIZE + 5):
+        session.build_request(dict(_spec(0), seed=seed))
+    assert paper_workload.cache_info().currsize <= WORKLOAD_MEMO_SIZE
+    # neither the session nor the memo still holds the first seed's suite
+    gc.collect()
+    assert watch() is None
 
 
 # -- (c) bare journaled requests ----------------------------------------------
@@ -355,8 +372,8 @@ class TestSettledEntries:
             again = session.submit_spec(_spec(0, idem="k"))[1]
             assert again.result(timeout=120) == _expected(0)
             assert service.stats.simulated_fsms == 1
-        # the dispatcher has let go of its last batch; only the session
-        # (and its registry entry under "k") is left
-        gc.collect()
-        assert watch() is None
-        assert session.idempotency.stats()["entries"] == 1
+            # the idle dispatcher has let go of its last round; only the
+            # session (and its registry entry under "k") is left
+            gc.collect()
+            assert watch() is None
+            assert session.idempotency.stats()["entries"] == 1

@@ -506,6 +506,45 @@ class TestAdaptiveService:
             assert [f.result(60)[0] for f in futures] == serial
         assert policy.rounds >= len(fsms)   # one request per round at most
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_mixed_kinds_and_budgets_stay_bit_exact(self, setup, fixed):
+        # alternating grid kinds and step budgets: no two neighbouring
+        # requests may share a batch, whatever width the policy runs at
+        _, _, fsms = setup
+        grids = {kind: make_grid(kind, 8) for kind in ("S", "T")}
+        suites = {
+            kind: paper_suite(grid, 4, n_random=6, seed=1)
+            for kind, grid in grids.items()
+        }
+        workload = [
+            ("ST"[index % 2], (50, 60)[index // 2 % 2], fsm)
+            for index, fsm in enumerate(fsms * 2)
+        ]
+        serial = [
+            evaluate_population(grids[kind], [fsm], suites[kind],
+                                t_max=t_max)[0]
+            for kind, t_max, fsm in workload
+        ]
+        lanes = len(suites["T"])
+        policy = (
+            AdaptiveBatchPolicy(
+                min_lanes=lanes, initial_lanes=lanes, max_lanes=lanes
+            )
+            if fixed else AdaptiveBatchPolicy()
+        )
+        with EvaluationService(
+            n_workers=1, autostart=False, batch_policy=policy
+        ) as service:
+            futures = [
+                service.submit(EvaluationRequest(
+                    grids[kind], [fsm], suites[kind], t_max=t_max
+                ))
+                for kind, t_max, fsm in workload
+            ]
+            service.start()
+            assert [f.result(60)[0] for f in futures] == serial
+        assert service.stats.simulated_fsms == len(workload)
+
 
 class TestPersistentCache:
     """The JSONL store: survives processes, writers, and torn tails."""

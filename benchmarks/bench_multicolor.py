@@ -40,5 +40,5 @@ def test_multicolor_batch_kernel(benchmark):
     grid = make_grid("T", 16)
     suite = paper_suite(grid, 8, n_random=97)
     fsm = MulticolorFSM.random(np.random.default_rng(1), n_colors=4)
-    simulator = BatchSimulator(grid, fsm, list(suite))
+    simulator = BatchSimulator(grid, fsm, suite)
     benchmark(simulator.step)

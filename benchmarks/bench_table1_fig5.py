@@ -66,6 +66,6 @@ def test_batch_step_kernel(benchmark):
 
     grid = make_grid("T", 16)
     suite = paper_suite(grid, 16, n_random=297)
-    simulator = BatchSimulator(grid, published_fsm("T"), list(suite))
+    simulator = BatchSimulator(grid, published_fsm("T"), suite)
 
     benchmark(simulator.step)

@@ -26,7 +26,7 @@ def main():
         grid = api.make_grid(kind, 16)
         fsm = api.published_fsm(kind)
         suite = api.paper_suite(grid, n_agents, n_random=n_fields)
-        batch = api.BatchSimulator(grid, fsm, list(suite)).run(t_max=1000)
+        batch = api.BatchSimulator(grid, fsm, suite).run(t_max=1000)
         mean_times[kind] = batch.mean_time()
         reliable = "reliable" if batch.completely_successful else "UNRELIABLE"
         print(

@@ -15,7 +15,7 @@ Quickstart::
     grid = repro.make_grid("T", 16)                 # 16 x 16 triangulate torus
     fsm = repro.published_fsm("T")                  # best evolved T-agent (Fig. 4)
     suite = repro.paper_suite(grid, n_agents=16)    # 1000 random + 3 manual fields
-    batch = repro.BatchSimulator(grid, fsm, list(suite)).run(t_max=400)
+    batch = repro.BatchSimulator(grid, fsm, suite).run(t_max=400)
     print(batch.mean_time())                        # paper reports 41.25
 """
 

@@ -159,7 +159,6 @@ from repro.results import (  # noqa: F401
     EvaluationResult,
     Grid33Result,
     Table1Cell,
-    TransportBenchRecord,
 )
 from repro.service import (  # noqa: F401
     AsyncEvaluationServer,

@@ -2,40 +2,36 @@
 
 import numpy as np
 
-from repro.configs.types import InitialConfiguration
+from repro.configs.types import configurations_from_arrays
 
 
 def _free_cells(grid, n_agents, environment):
-    """The cells agents may start on, as ``(x, y)`` tuples in flat order.
-
-    Computed once per suite; every configuration drawn from the list
-    shares its tuples, so a suite holds one tuple per cell, not one per
-    placed agent.
-    """
+    """The flat cells ``x * M + y`` agents may start on, ascending."""
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    obstacles = environment.obstacles if environment is not None else frozenset()
-    free_cells = [
-        cell for cell in map(grid.unflat, range(grid.n_cells))
-        if cell not in obstacles
-    ]
-    if n_agents > len(free_cells):
+    free = np.ones(grid.n_cells, dtype=bool)
+    if environment is not None:
+        for x, y in environment.obstacles:
+            free[x * grid.size + y] = False
+    free_cells = np.flatnonzero(free)
+    if n_agents > free_cells.size:
         raise ValueError(
-            f"{n_agents} agents do not fit on {len(free_cells)} free cells"
+            f"{n_agents} agents do not fit on {free_cells.size} free cells"
         )
     return free_cells
 
 
-def _draw(free_cells, n_agents, n_directions, rng, name):
-    """One placement from ``free_cells``: ``rng.choice``, then
+def _draw_fields(grid, n_agents, n_fields, rng, environment):
+    """``(cells, directions)``, each ``(n_fields, n_agents)`` int64: row
+    ``i`` is one placement, drawn with ``rng.choice`` and then
     ``rng.integers`` -- this call order fixes every suite's fields."""
-    chosen = rng.choice(len(free_cells), size=n_agents, replace=False)
-    directions = rng.integers(0, n_directions, size=n_agents)
-    return InitialConfiguration(
-        positions=tuple(map(free_cells.__getitem__, chosen.tolist())),
-        directions=tuple(directions.tolist()),
-        name=name,
-    )
+    free_cells = _free_cells(grid, n_agents, environment)
+    chosen = np.empty((n_fields, n_agents), dtype=np.int64)
+    directions = np.empty_like(chosen)
+    for row in range(n_fields):
+        chosen[row] = rng.choice(free_cells.size, size=n_agents, replace=False)
+        directions[row] = rng.integers(0, grid.n_directions, size=n_agents)
+    return free_cells[chosen], directions
 
 
 def random_configuration(grid, n_agents, rng, name="", environment=None):
@@ -44,12 +40,15 @@ def random_configuration(grid, n_agents, rng, name="", environment=None):
     With an ``environment`` carrying obstacles, agents are only placed on
     free cells.
     """
-    free_cells = _free_cells(grid, n_agents, environment)
-    return _draw(free_cells, n_agents, grid.n_directions, rng, name)
+    cells, directions = _draw_fields(grid, n_agents, 1, rng, environment)
+    (config,) = configurations_from_arrays(grid.size, cells, directions,
+                                           [name])
+    return config
 
 
-def random_configurations(grid, n_agents, n_fields, seed, environment=None):
-    """A reproducible list of ``n_fields`` random configurations.
+def random_fields(grid, n_agents, n_fields, seed, environment=None):
+    """``(cells, directions, names)`` of ``n_fields`` reproducible random
+    fields, as :class:`repro.configs.ConfigSuite` stores them.
 
     The generator is seeded with ``(seed, size, n_agents)`` plus a grid
     tag, so every (grid, agent count) pair gets its own independent but
@@ -59,8 +58,14 @@ def random_configurations(grid, n_agents, n_fields, seed, environment=None):
     """
     kind_tag = 0 if grid.kind == "S" else 1
     rng = np.random.default_rng([seed, grid.size, n_agents, kind_tag])
-    free_cells = _free_cells(grid, n_agents, environment)
-    return [
-        _draw(free_cells, n_agents, grid.n_directions, rng, f"random-{index}")
-        for index in range(n_fields)
-    ]
+    cells, directions = _draw_fields(grid, n_agents, n_fields, rng,
+                                     environment)
+    names = tuple(f"random-{index}" for index in range(n_fields))
+    return cells, directions, names
+
+
+def random_configurations(grid, n_agents, n_fields, seed, environment=None):
+    """The fields of :func:`random_fields` as a list of configurations."""
+    return list(configurations_from_arrays(
+        grid.size, *random_fields(grid, n_agents, n_fields, seed, environment)
+    ))

@@ -67,3 +67,30 @@ class InitialConfiguration:
             states=scheme.states_for(self.n_agents, n_states),
             name=self.name,
         )
+
+
+def configurations_from_arrays(size, cells, directions, names, stated=None,
+                               states=None):
+    """The :class:`InitialConfiguration` of each row, built lazily.
+
+    ``cells`` and ``directions`` are ``(F, k)`` arrays of flat start cells
+    ``x * size + y`` and headings, and ``names`` holds one name per row.
+    ``states``, when given, is ``(F, k)`` and read only on the rows
+    flagged in the ``(F,)`` bool array ``stated``; every other row gets
+    ``states=None``.
+    """
+    # one (x, y) tuple per cell, shared by every position on it
+    cell = [divmod(flat, size) for flat in range(size * size)].__getitem__
+    if stated is None:
+        explicit = [None] * len(cells)
+    else:
+        explicit = [
+            tuple(row) if flag else None
+            for flag, row in zip(stated.tolist(), states.tolist())
+        ]
+    for row, heading, state, name in zip(
+        cells.tolist(), directions.tolist(), explicit, names
+    ):
+        yield InitialConfiguration(
+            tuple(map(cell, row)), tuple(heading), state, name
+        )

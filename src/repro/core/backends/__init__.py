@@ -184,15 +184,3 @@ def make_batch_simulator(grid, fsms=None, configs=(), state_scheme=None,
         grid, fsms, configs, state_scheme=state_scheme,
         environment=environment, agent_fsms=agent_fsms, backend=name,
     )
-
-
-def backend_versions():
-    """Dependency versions behind the backends (numba ``None`` if absent)."""
-    import numpy
-    versions = {"numpy": numpy.__version__, "numba": None}
-    try:
-        import numba
-        versions["numba"] = numba.__version__
-    except ImportError:
-        pass
-    return versions

@@ -97,11 +97,11 @@ Throughput counters are kept in :class:`repro.perf.counters.StepCounters`
 --trace 1``) reads them for its per-layer kernel metrics.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.configs.suite import ConfigSuite
 from repro.core.backends import resolve_backend
 from repro.core.bits import popcount
 from repro.core.environment import Environment
@@ -241,7 +241,11 @@ class BatchSimulator:
         form used to evaluate a whole GA population at once.  Lanes given
         the same FSM object share one table row.
     configs:
-        Sequence of ``B`` initial configurations with equal agent counts.
+        The ``B`` initial configurations, equal in agent count: a
+        :class:`repro.configs.ConfigSuite`, whose arrays are read as they
+        are, or any sequence of :class:`repro.configs.InitialConfiguration`,
+        turned into one by
+        :meth:`~repro.configs.ConfigSuite.from_configurations`.
     environment:
         Optional :class:`repro.core.environment.Environment` (borders,
         obstacles, initial colours) shared by every lane; defaults to the
@@ -270,16 +274,17 @@ class BatchSimulator:
 
     def __init__(self, grid, fsms=None, configs=(), state_scheme=None,
                  environment=None, agent_fsms=None, backend=None):
-        configs = list(configs)
-        if not configs:
-            raise ValueError("need at least one configuration lane")
+        if not isinstance(configs, ConfigSuite):
+            configs = ConfigSuite.from_configurations(configs, grid)
+        elif configs.grid_size != grid.size:
+            raise ValueError(
+                f"a {configs.grid_size} x {configs.grid_size} suite on a "
+                f"{grid.size} x {grid.size} grid"
+            )
         self._backend = resolve_backend(backend)
         self.grid = grid
         self.environment = environment or Environment.cyclic(grid)
-        self.n_lanes = len(configs)
-        self.n_agents = configs[0].n_agents
-        if any(config.n_agents != self.n_agents for config in configs):
-            raise ValueError("all lanes must have the same number of agents")
+        self.n_lanes, self.n_agents = configs.cells.shape
 
         # FSM tables hold one row per distinct FSM object; species maps
         # every (lane, agent) to the row of the behaviour controlling it
@@ -530,52 +535,25 @@ class BatchSimulator:
             next_code.reshape(-1),
         )
 
-    def _agent_state(self, configs, state_scheme):
+    def _agent_state(self, suite, state_scheme):
         """Flat positions, headings and control states, each ``(B, k)``
-        and ``int64``.
-
-        Every distinct configuration object is read once, straight from
-        its tuples, and lanes repeating one get copies of its rows.
-        """
-        n_agents, size = self.n_agents, self.grid.size
-        sources, lane_rows = _share_rows(list(map(id, configs)))
-        distinct = [configs[lane] for lane in sources]
-        count = len(distinct) * n_agents
-        flatten = itertools.chain.from_iterable
-        coords = np.fromiter(
-            flatten(flatten(config.positions for config in distinct)),
-            dtype=np.int64, count=2 * count,
-        )
-        np.remainder(coords, size, out=coords)
-        pos = coords[0::2] * size
-        pos += coords[1::2]
-        del coords  # freed before the next (B, k) array is allocated
-        direction = np.fromiter(
-            flatten(config.directions for config in distinct),
-            dtype=np.int64, count=count,
-        )
+        and ``int64``: copies of the suite's rows, which stay read-only."""
+        pos = suite.cells.astype(np.int64)
+        direction = suite.directions.astype(np.int64)
         if state_scheme is not None:
-            default = state_scheme.states_for(n_agents, self.n_states)
+            default = state_scheme.states_for(self.n_agents, self.n_states)
         else:
-            default = [ident % min(2, self.n_states) for ident in range(n_agents)]
-        state = np.empty((len(distinct), n_agents), dtype=np.int64)
+            default = [ident % min(2, self.n_states)
+                       for ident in range(self.n_agents)]
+        state = np.empty(pos.shape, dtype=np.int64)
         state[:] = default
-        explicit = [row for row, config in enumerate(distinct)
-                    if config.states is not None]
-        if explicit:
-            state[explicit] = np.fromiter(
-                flatten(distinct[row].states for row in explicit),
-                dtype=np.int64, count=len(explicit) * n_agents,
-            ).reshape(len(explicit), n_agents)
+        if suite.stated is not None:
+            state[suite.stated] = suite.states[suite.stated]
         if (direction >= self._n_directions).any() or (direction < 0).any():
             raise ValueError("a configuration direction is out of range for this grid")
         if (state >= self.n_states).any() or (state < 0).any():
             raise ValueError("an initial control state is out of range for this FSM")
-        arrays = [pos.reshape(state.shape), direction.reshape(state.shape),
-                  state]
-        if len(distinct) < self.n_lanes:
-            arrays = [array[lane_rows] for array in arrays]
-        return arrays
+        return pos, direction, state
 
     # -- views ---------------------------------------------------------------
 

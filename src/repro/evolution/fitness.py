@@ -66,7 +66,7 @@ def _outcome_from_batch(batch):
 @renamed_kwargs(tmax="t_max")
 def evaluate_fsm(grid, fsm, suite, t_max=200, backend=None):
     """Evaluate one FSM over every configuration of ``suite``."""
-    simulator = BatchSimulator(grid, fsm, list(suite), backend=backend)
+    simulator = BatchSimulator(grid, fsm, suite, backend=backend)
     batch = simulator.run(t_max=t_max)
     return _outcome_from_batch(batch)
 
@@ -90,9 +90,10 @@ def _slice_outcomes(batch, n_fsms, n_fields):
     return outcomes
 
 
-def _evaluate_chunked(grid, fsms, configs, t_max, lane_block, backend=None):
-    """Serial evaluation in lane blocks; bit-exact vs one monolithic batch."""
-    n_fields = len(configs)
+def _evaluate_chunked(grid, fsms, suite, t_max, lane_block, backend=None):
+    """Serial evaluation of a :class:`ConfigSuite` in lane blocks;
+    bit-exact vs one monolithic batch."""
+    n_fields = len(suite)
     if lane_block:
         fsms_per_chunk = max(1, lane_block // n_fields)
     else:
@@ -101,9 +102,8 @@ def _evaluate_chunked(grid, fsms, configs, t_max, lane_block, backend=None):
     for start in range(0, len(fsms), fsms_per_chunk):
         chunk = fsms[start:start + fsms_per_chunk]
         lane_fsms = [fsm for fsm in chunk for _ in range(n_fields)]
-        lane_configs = configs * len(chunk)
         batch = BatchSimulator(
-            grid, lane_fsms, lane_configs, backend=backend
+            grid, lane_fsms, suite.tile(len(chunk)), backend=backend
         ).run(t_max=t_max)
         outcomes.extend(_slice_outcomes(batch, len(chunk), n_fields))
     return outcomes
@@ -177,8 +177,8 @@ def _evaluate_streamed(grid, fsms, fields, t_max, lane_block, backend=None,
 
 def _shard_worker(payload):
     """Worker entry point: evaluate one contiguous FSM shard serially."""
-    grid, fsms, configs, t_max, lane_block, backend = payload
-    return _evaluate_chunked(grid, fsms, configs, t_max, lane_block,
+    grid, fsms, suite, t_max, lane_block, backend = payload
+    return _evaluate_chunked(grid, fsms, suite, t_max, lane_block,
                              backend=backend)
 
 
@@ -213,7 +213,10 @@ def evaluate_population(grid, fsms, suite, t_max=200,
     lanes in memory at once and never materialised -- the way to run
     big-world workloads (64x64, k up to 1024).  Streaming is serial;
     with ``n_workers > 1`` the suite is materialised first so it can be
-    shipped to the shards.  ``stream_stats``, if a dict, receives
+    shipped to the shards.  Any other suite that is not a
+    :class:`ConfigSuite` is turned into one, and every batch reads the
+    suite's arrays, tiled once per FSM of the batch; no configuration
+    object is built.  ``stream_stats``, if a dict, receives
     ``n_fields`` / ``n_blocks`` / ``max_lanes_in_flight`` /
     ``block_fields`` after a streamed run.
 
@@ -231,7 +234,8 @@ def evaluate_population(grid, fsms, suite, t_max=200,
             grid, fsms, suite, t_max, lane_block, backend=backend,
             stream_stats=stream_stats,
         )
-    configs = list(suite)
+    if not isinstance(suite, ConfigSuite):
+        suite = ConfigSuite.from_configurations(suite, grid)
     if n_workers > 1:
         # ship the backend by name: compiled backend instances hold
         # jit dispatchers that do not pickle
@@ -241,7 +245,7 @@ def evaluate_population(grid, fsms, suite, t_max=200,
         )
         shard_size = (len(fsms) + n_workers - 1) // n_workers
         payloads = [
-            (grid, fsms[start:start + shard_size], configs, t_max,
+            (grid, fsms[start:start + shard_size], suite, t_max,
              lane_block, backend_name)
             for start in range(0, len(fsms), shard_size)
         ]
@@ -251,7 +255,7 @@ def evaluate_population(grid, fsms, suite, t_max=200,
             with _pool_context().Pool(processes=len(payloads)) as one_shot:
                 shard_outcomes = one_shot.map(_shard_worker, payloads)
         return [outcome for shard in shard_outcomes for outcome in shard]
-    return _evaluate_chunked(grid, fsms, configs, t_max, lane_block,
+    return _evaluate_chunked(grid, fsms, suite, t_max, lane_block,
                              backend=backend)
 
 

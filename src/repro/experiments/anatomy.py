@@ -56,7 +56,7 @@ def run_anatomy(
     rows = {}
     for n_agents in agent_counts:
         suite = paper_suite(grid, n_agents, n_random=n_random, seed=seed)
-        batch = BatchSimulator(grid, fsm, list(suite)).run(t_max=t_max)
+        batch = BatchSimulator(grid, fsm, suite).run(t_max=t_max)
         times = batch.times()
         p25, median, p90 = np.percentile(times, [25, 50, 90])
         rows[n_agents] = AnatomyRow(

@@ -54,7 +54,7 @@ def run_progress_curves(
     for kind in ("T", "S"):
         grid = make_grid(kind, 16)
         suite = paper_suite(grid, n_agents, n_random=n_random, seed=seed)
-        simulator = BatchSimulator(grid, published_fsm(kind), list(suite))
+        simulator = BatchSimulator(grid, published_fsm(kind), suite)
         fractions = [knowledge_bits_fraction(simulator)]
         while not simulator.done.all() and simulator.t < t_max:
             simulator.step()

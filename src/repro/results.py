@@ -186,30 +186,6 @@ class CampaignCell:
         return getattr(self, key)
 
 
-@dataclass(frozen=True)
-class TransportBenchRecord:
-    """One TCP-transport throughput measurement, against in-process."""
-
-    kind: str
-    size: int
-    n_agents: int
-    n_fields: int
-    t_max: int
-    n_requests: int
-    n_clients: int
-    wall_seconds: float
-    requests_per_sec: float
-    in_process_requests_per_sec: float
-    relative_to_in_process: float
-
-    def to_json(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, payload):
-        return cls(**{f.name: payload[f.name] for f in fields(cls)})
-
-
 #: Deprecated aliases served via module ``__getattr__`` below.
 _DEPRECATED_NAMES = {
     "EvaluationOutcome": ("repro.results.EvaluationResult", EvaluationResult),
@@ -230,6 +206,5 @@ __all__ = [
     "Table1Cell",
     "Grid33Result",
     "CampaignCell",
-    "TransportBenchRecord",
     "warn_deprecated",
 ]

@@ -125,6 +125,8 @@ _WS_BINARY = 0x2
 _WS_CLOSE = 0x8
 _WS_PING = 0x9
 _WS_PONG = 0xA
+#: Close-frame payload: status 1001, "going away" (RFC 6455, 7.4.1).
+_WS_GOING_AWAY = struct.pack(">H", 1001)
 
 
 class GatewayError(Exception):
@@ -458,7 +460,9 @@ class GatewayServer(BaseAsyncServer):
         try:
             while not self._closing:
                 try:
-                    request = await self._next_request(reader)
+                    request = await self._read_or_stop(
+                        self._read_http_request(reader)
+                    )
                 except _StopReading:
                     break
                 except _HttpConnectionClosed:
@@ -489,27 +493,6 @@ class GatewayServer(BaseAsyncServer):
                 await writer.wait_closed()
             self._handlers.discard(handler)
             self.stats.connections_closed += 1
-
-    async def _next_request(self, reader):
-        """One parsed HTTP request, honouring the drain signal."""
-        read = asyncio.ensure_future(self._read_http_request(reader))
-        stop = asyncio.ensure_future(self._stop_reading.wait())
-        try:
-            done, _ = await asyncio.wait(
-                {read, stop}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if read in done:
-                return read.result()
-            raise _StopReading
-        finally:
-            for waiter in (read, stop):
-                if waiter.done():
-                    if not waiter.cancelled():
-                        waiter.exception()   # mark retrieved
-                else:
-                    waiter.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await waiter
 
     async def _read_http_request(self, reader):
         request_line = await reader.readline()
@@ -863,15 +846,20 @@ class GatewayServer(BaseAsyncServer):
         await writer.drain()
         self.stats.ws_streams += 1
         while not self._closing:
-            message = await ws_read_message(reader, self.max_body_bytes)
-            if message is None:
+            try:
+                message = await self._read_or_stop(
+                    ws_read_message(reader, self.max_body_bytes)
+                )
+            except _StopReading:
                 break
+            if message is None:
+                return
             opcode, payload = message
             if opcode == _WS_CLOSE:
                 with contextlib.suppress(ConnectionError, OSError):
                     writer.write(ws_encode_frame(payload, _WS_CLOSE))
                     await writer.drain()
-                break
+                return
             if opcode == _WS_PING:
                 writer.write(ws_encode_frame(payload, _WS_PONG))
                 await writer.drain()
@@ -879,6 +867,10 @@ class GatewayServer(BaseAsyncServer):
             if opcode == _WS_PONG:
                 continue
             await self._stream_one(payload, writer, client_id)
+        # the gateway is draining: close the stream as "going away"
+        with contextlib.suppress(ConnectionError, OSError):
+            writer.write(ws_encode_frame(_WS_GOING_AWAY, _WS_CLOSE))
+            await writer.drain()
 
     async def _ws_send_json(self, writer, payload):
         writer.write(ws_encode_frame(json.dumps(payload,

@@ -273,6 +273,33 @@ class BaseAsyncServer:
         self._decode_executor.shutdown(wait=False)
         self._shutdown_requested.set()
 
+    async def _read_or_stop(self, read, timeout=None):
+        """The result of the coroutine ``read``, unless the drain signal
+        comes first (:class:`_StopReading`) or ``timeout`` seconds pass
+        (:class:`_IdleTimeout`).  Every read loop waits through this, so
+        graceful shutdown never waits on an idle peer."""
+        read = asyncio.ensure_future(read)
+        stop = asyncio.ensure_future(self._stop_reading.wait())
+        try:
+            done, _ = await asyncio.wait(
+                {read, stop}, timeout=timeout,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            if read in done:
+                return read.result()
+            if stop in done:
+                raise _StopReading
+            raise _IdleTimeout
+        finally:
+            for waiter in (read, stop):
+                if waiter.done():
+                    if not waiter.cancelled():
+                        waiter.exception()   # mark retrieved
+                else:
+                    waiter.cancel()
+                    with contextlib.suppress(asyncio.CancelledError):
+                        await waiter
+
     async def _submit_spec(self, spec):
         """Decode + enqueue one spec off-loop; ``(request_id, future)``.
 
@@ -473,32 +500,12 @@ class AsyncEvaluationServer(BaseAsyncServer):
 
     async def _read_next(self, conn):
         """The next frame body, honouring shutdown and the idle reaper."""
-        read = asyncio.ensure_future(read_frame(conn.reader))
-        stop = asyncio.ensure_future(self._stop_reading.wait())
         idle = (
             self.idle_timeout
             if self.idle_timeout and not conn.tasks
             else None
         )
-        try:
-            done, _ = await asyncio.wait(
-                {read, stop}, timeout=idle,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if read in done:
-                return read.result()
-            if stop in done:
-                raise _StopReading
-            raise _IdleTimeout
-        finally:
-            for waiter in (read, stop):
-                if waiter.done():
-                    if not waiter.cancelled():
-                        waiter.exception()   # mark retrieved
-                else:
-                    waiter.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await waiter
+        return await self._read_or_stop(read_frame(conn.reader), idle)
 
     async def _handle_request(self, conn, spec):
         request_id = spec.get("id")

@@ -65,9 +65,9 @@ class ServerInThread:
     """An AsyncEvaluationServer on a daemon thread, for sync tests.
 
     Context manager: enter yields the server with :attr:`address`
-    bound; exit sends the ``shutdown`` op (draining in-flight work) and
-    joins the thread.  ``kwargs`` pass through to
-    :class:`repro.service.AsyncEvaluationServer` (``journal=``,
+    bound; exit sends the ``shutdown`` op (draining in-flight work),
+    joins the thread and asserts that it ended.  ``kwargs`` pass through
+    to :class:`repro.service.AsyncEvaluationServer` (``journal=``,
     ``membership=``, ``idle_timeout=``, ...).
     """
 
@@ -101,6 +101,9 @@ class ServerInThread:
         with TCPServiceClient(self.address) as closer:
             closer.shutdown()
         self._thread.join(10)
+        assert not self._thread.is_alive(), (
+            "server still running 10 s after shutdown"
+        )
         return False
 
 
@@ -108,9 +111,9 @@ class GatewayInThread:
     """A :class:`repro.service.GatewayServer` on a daemon thread.
 
     Context manager: enter yields the helper with :attr:`address`
-    bound; exit requests graceful shutdown (draining in-flight work)
-    and joins the thread.  ``kwargs`` pass through to
-    :class:`GatewayServer` (``auth_token=``, ``max_inflight=``,
+    bound; exit requests graceful shutdown (draining in-flight work),
+    joins the thread and asserts that it ended.  ``kwargs`` pass through
+    to :class:`GatewayServer` (``auth_token=``, ``max_inflight=``,
     ``bulk_fraction=``, ...); :attr:`gateway` exposes the live server
     for counter assertions.
     """
@@ -146,6 +149,9 @@ class GatewayInThread:
     def __exit__(self, *exc_info):
         self._loop.call_soon_threadsafe(self.gateway.request_shutdown)
         self._thread.join(10)
+        assert not self._thread.is_alive(), (
+            "gateway still running 10 s after shutdown"
+        )
         return False
 
 

@@ -23,7 +23,6 @@ from repro.results import (
     EvaluationResult,
     Grid33Result,
     Table1Cell,
-    TransportBenchRecord,
 )
 
 WORKLOAD = dict(grid="T", size=8, agents=4, fields=5, seed=1, t_max=60)
@@ -214,19 +213,12 @@ class TestResultShapes:
         )
         assert Grid33Result.from_json(result.to_json()) == result
 
-    def test_campaign_cell_and_bench_record_round_trip(self):
+    def test_campaign_cell_round_trip(self):
         cell = CampaignCell(
             t_time=41.0, s_time=62.0, ratio=41.0 / 62.0, paper_t=41.25,
             paper_s=62.7, reliable=True,
         )
         assert CampaignCell.from_json(cell.to_json()) == cell
-        record = TransportBenchRecord(
-            kind="T", size=16, n_agents=8, n_fields=100, t_max=200,
-            n_requests=8, n_clients=4, wall_seconds=1.0,
-            requests_per_sec=8.0, in_process_requests_per_sec=10.0,
-            relative_to_in_process=0.8,
-        )
-        assert TransportBenchRecord.from_json(record.to_json()) == record
 
 
 class TestDeprecations:

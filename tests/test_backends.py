@@ -28,7 +28,6 @@ from repro.core.backends import (
     DEFAULT_BACKEND,
     StepBackend,
     available_backends,
-    backend_versions,
     make_batch_simulator,
     normalize_backend_name,
     numba_available,
@@ -102,11 +101,6 @@ class TestRegistry:
         assert names[0] == "numpy"
         assert "pykernel" in names and "legacy" in names
         assert ("numba" in names) == numba_available()
-
-    def test_backend_versions(self):
-        versions = backend_versions()
-        assert versions["numpy"] == np.__version__
-        assert (versions["numba"] is not None) == numba_available()
 
     @pytest.mark.skipif(
         numba_available(), reason="numba installed: no fallback to observe"

@@ -1,30 +1,40 @@
 """Batch set-up: suites and simulators built once per distinct field and FSM.
 
-``random_configurations`` computes the free cells once per suite, and
-``BatchSimulator`` gives every distinct FSM object one table row and reads
-every distinct configuration object once.  These tests pin the suites to
-their recorded digests, check that every construction error still reads
-the same, and check that shared rows change no result and no public view.
+Suites are arrays drawn once per suite, and ``BatchSimulator`` reads a
+suite's arrays directly, gives every distinct FSM object one table row and
+reads every distinct configuration object of a sequence once.  These tests
+pin the suites to their recorded digests, check that an array suite is the
+stream of single draws and simulates exactly like its configurations, check
+that every construction error still reads the same, and check that shared
+rows change no result and no public view.
 """
 
+import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.configs.random_configs import (
     random_configuration,
     random_configurations,
 )
-from repro.configs.suite import paper_suite
+from repro.configs.special import special_configurations
+from repro.configs.suite import ConfigSuite, digest_configurations, paper_suite
 from repro.configs.types import InitialConfiguration, InitialStateScheme
 from repro.core.backends import numba_available
-from repro.core.environment import Environment
+from repro.core.environment import Environment, random_obstacles
 from repro.core.fsm import FSM
 from repro.core.inputs import N_INPUT_COMBOS
 from repro.core.published import published_fsm
 from repro.core.vectorized import BatchSimulator
-from repro.evolution.fitness import suite_fingerprint
+from repro.evolution.fitness import (
+    evaluate_fsm,
+    evaluate_population,
+    suite_fingerprint,
+)
 from repro.extensions.multicolor import MulticolorFSM
 from repro.extensions.timeshuffle import (
     TimeShuffledBatchSimulator,
@@ -38,13 +48,21 @@ _BACKENDS = ["numpy", "pykernel"] + (["numba"] if numba_available() else [])
 _VIEWS = ("px", "py", "direction", "state", "colors", "occupancy", "knowledge")
 
 #: ``suite_fingerprint`` of ``paper_suite(make_grid(kind, 16), k, seed=2013)``
-#: as built before the suite builder was vectorized.
+#: for every Table 1 cell, recorded from builders that predate both the
+#: vectorized draw and the array suites, so a change to the draw order or
+#: to the digest fails here.
 _PAPER_SUITE_DIGESTS = {
     ("S", 2): "face95ed23fbac4fe10ae3cb95816b13d19c28f0f808fb9bcc05311fa6374d7e",
+    ("S", 4): "8c271e0c4a13886afe6cdc78bf12060a3dae499b68c3506e5fe54067690f4bff",
     ("S", 8): "8b82e35fbb28b46e61235b29e95b786822dfef059f81e025272aee41c2d8d20b",
+    ("S", 16): "d922b6acbb743a95b7e4de653f5e31ccfaa7fb729b83d5c8d52546c5f1614ec1",
+    ("S", 32): "db3d18823a75d68c4ad0de54d48b8b3cd8fb7bd4ee99aa34158060170e695c1c",
     ("S", 256): "de78973f8a440272f037af56af03a52cee224c1d658e990c123873348b7aff7f",
     ("T", 2): "8c39da997fef4456128a6f19ecffe5862d8b14c2a722ed7e873b021c7ae83603",
+    ("T", 4): "3c4a6b02a5b478163df2009b62db0551f06d892ea60e20304e4b9cac59dcf21a",
     ("T", 8): "eddd9cf868e5346857f8920c9b1ebe55e6a2a38f08dd51ae185661491161f826",
+    ("T", 16): "5b4809fd8a9adfd36ff85797732cc0fb6762e7cd8287dc2071b11257458c1bd5",
+    ("T", 32): "94ac4238fef1dcee9017980fc63a2b1c85acbeeca52a229a670527340521d7b8",
     ("T", 256): "05a25a738c7a33ead83b5db8617e0ffcdc954a62b94336aba7cd7ba8a33df641",
 }
 
@@ -99,6 +117,113 @@ def test_suite_is_the_stream_of_single_draws():
         random_configuration(grid, 8, rng, name=f"random-{index}")
         for index in range(5)
     ]
+
+
+def _obstacle_environment(grid, n_obstacles, seed):
+    if not n_obstacles:
+        return None
+    return Environment(grid, obstacles=random_obstacles(
+        grid, n_obstacles, np.random.default_rng(seed)
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from("ST"), size=st.integers(3, 8),
+       n_fields=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       n_obstacles=st.integers(0, 4), data=st.data())
+def test_array_suite_is_the_stream_of_single_draws(kind, size, n_fields, seed,
+                                                   n_obstacles, data):
+    grid = make_grid(kind, size)
+    environment = _obstacle_environment(grid, n_obstacles, seed)
+    n_agents = data.draw(st.integers(1, grid.n_cells - n_obstacles),
+                         label="n_agents")
+    rng = np.random.default_rng([seed, size, n_agents, "ST".index(kind)])
+    stream = [
+        random_configuration(grid, n_agents, rng, name=f"random-{index}",
+                             environment=environment)
+        for index in range(n_fields)
+    ]
+    assert random_configurations(
+        grid, n_agents, n_fields, seed, environment=environment
+    ) == stream
+    if environment is None:
+        suite = paper_suite(grid, n_agents, n_random=n_fields, seed=seed)
+        fields = stream + special_configurations(grid, n_agents)
+        assert list(suite) == fields
+        assert [suite[row] for row in range(-len(suite), 0)] == fields
+        assert suite.fingerprint == digest_configurations(fields)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from("ST"), size=st.integers(3, 8),
+       n_fields=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       n_obstacles=st.integers(0, 3), data=st.data())
+def test_simulator_reads_a_suite_as_its_configurations(kind, size, n_fields,
+                                                       seed, n_obstacles,
+                                                       data):
+    grid = make_grid(kind, size)
+    environment = _obstacle_environment(grid, n_obstacles, seed)
+    n_agents = data.draw(st.integers(1, min(12, grid.n_cells - n_obstacles)),
+                         label="n_agents")
+    stated = data.draw(st.lists(st.booleans(), min_size=n_fields,
+                                max_size=n_fields), label="stated")
+    states = np.random.default_rng(seed).integers(0, 4, (n_fields, n_agents))
+    configs = [
+        replace(config, states=tuple(row.tolist())) if flag else config
+        for config, flag, row in zip(
+            random_configurations(grid, n_agents, n_fields, seed,
+                                  environment=environment),
+            stated, states,
+        )
+    ]
+    suite = ConfigSuite.from_configurations(configs, grid, seed=seed)
+    assert list(suite) == configs
+    assert suite.fingerprint == digest_configurations(configs)
+    revived = pickle.loads(pickle.dumps(suite))
+    assert revived == suite and revived.fingerprint == suite.fingerprint
+    # two FSMs over the suite: FSM-major lanes, as evaluate_population
+    # lays them out
+    fsms = [_fsm(), FSM.random(np.random.default_rng(seed), n_states=4)]
+    lane_fsms = [fsm for fsm in fsms for _ in configs]
+    simulators = [
+        BatchSimulator(grid, lane_fsms, suite.tile(2),
+                       environment=environment),
+        BatchSimulator(grid, lane_fsms, list(suite) * 2,
+                       environment=environment),
+        LegacyBatchSimulator(grid, lane_fsms, configs * 2,
+                             environment=environment),
+    ]
+    for _ in range(15):
+        for other in simulators[1:]:
+            _assert_same_views(simulators[0], other)
+        for simulator in simulators:
+            simulator.step()
+    first, *others = [simulator.run(t_max=60) for simulator in simulators]
+    for result in others:
+        assert (first.success == result.success).all()
+        assert (first.t_comm == result.t_comm).all()
+        assert (first.informed_agents == result.informed_agents).all()
+
+
+def test_suite_paths_build_no_configuration_objects(monkeypatch):
+    built = []
+    check = InitialConfiguration.__post_init__
+
+    def counting(config):
+        built.append(config.name)
+        check(config)
+
+    monkeypatch.setattr(InitialConfiguration, "__post_init__", counting)
+    grid = make_grid("T", 8)
+    suite = paper_suite(grid, 4, n_random=6, seed=3)
+    built.clear()   # the manual fields are built as objects, then stored
+    fsms = [_fsm(), FSM.random(np.random.default_rng(9), n_states=4)]
+    single = evaluate_fsm(grid, fsms[0], suite, t_max=40)
+    chunked = evaluate_population(grid, fsms, suite, t_max=40, lane_block=18)
+    assert suite.fingerprint
+    assert built == []
+    assert chunked[0] == single
+    assert len(suite[2:4]) == 2 and built == ["random-2", "random-3"]
 
 
 # -- construction errors --------------------------------------------------------
@@ -166,6 +291,14 @@ def test_explicit_states_mix_with_the_default(scheme, default):
     simulator = BatchSimulator(SquareGrid(8), _fsm(), [_GOOD, explicit, _GOOD],
                                state_scheme=scheme)
     assert simulator.state.tolist() == [default, [3, 2], default]
+
+
+def test_suite_for_another_grid_size_rejected():
+    suite = paper_suite(make_grid("S", 16), 2, n_random=2)
+    with pytest.raises(ValueError, match=re.escape(
+        "a 16 x 16 suite on a 8 x 8 grid"
+    )):
+        BatchSimulator(SquareGrid(8), _fsm(), suite)
 
 
 def test_fsm_lane_count_mismatch_rejected():

@@ -503,6 +503,26 @@ class TestWebSocketStream:
                 finally:
                     sock.close()
 
+    def test_an_idle_stream_is_closed_when_the_gateway_drains(self):
+        with EvaluationService(n_workers=1) as service:
+            gw = GatewayInThread(service)
+            with gw:
+                sock, reader = ws_connect(gw.address)
+                # a ping round trip puts the handler in its read loop
+                sock.sendall(ws_encode_frame(b"idle", opcode=0x9,
+                                             mask=True))
+                assert ws_recv(reader) == (0xA, b"idle")
+                started = time.monotonic()
+            # exit returned with the gateway thread ended
+            elapsed = time.monotonic() - started
+            try:
+                closing = ws_recv(reader)
+            finally:
+                reader.close()
+                sock.close()
+        assert closing == (0x8, struct.pack(">H", 1001))
+        assert elapsed < 3
+
     def test_stream_requires_websocket_upgrade(self):
         with EvaluationService(n_workers=1) as service:
             with GatewayInThread(service) as gw:

@@ -52,10 +52,9 @@ T_MAX = 60
 
 
 def _wrap(grid, n_agents, seed, configurations):
-    return ConfigSuite(
-        grid_kind=grid.kind, grid_size=grid.size, n_agents=n_agents,
-        seed=seed, configurations=tuple(configurations),
-    )
+    suite = ConfigSuite.from_configurations(configurations, grid, seed=seed)
+    assert suite.n_agents == n_agents
+    return suite
 
 
 def _spec(index, idem=None):
@@ -130,10 +129,10 @@ class TestSuiteDigest:
         grid = make_grid("S", 16)
         base = paper_suite(grid, 8, n_random=10, seed=11)
         other = paper_suite(grid, 8, n_random=10, seed=12)
-        swapped = list(base.configurations)
-        swapped[4] = other.configurations[4]
+        swapped = list(base)
+        swapped[4] = other[4]
         changed = _wrap(grid, 8, 11, swapped)
-        assert changed.configurations[:4] == base.configurations[:4]
+        assert changed[:4] == base[:4]
         assert base.fingerprint != changed.fingerprint
         assert changed.fingerprint == digest_configurations(swapped)
         assert base.fingerprint == digest_configurations(list(base))

@@ -10,6 +10,7 @@ across all five client implementations.
 """
 
 import base64
+import contextlib
 import http.client
 import json
 import os
@@ -931,3 +932,167 @@ class TestServeSetupErrors:
         proc = run_serve("--http", "nonsense")
         assert proc.returncode == 2
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# -- wire pin: every route's status, shape, headers and counters -----------
+
+_TOKEN = (("Authorization", "Bearer pin-token"),)
+_HEALTH = ("admission cache closed deadline dispatcher_alive gateway hedging "
+           "idempotency in_flight ok pool queue_depth")
+_ERROR = ("error",)
+_EVOLVE = {"grid": "T", "size": 8, "agents": 4, "fields": 2, "seed": 5,
+           "n_generations": 1, "pool_size": 4, "exchange_width": 1,
+           "t_max": 30}
+
+#: ``name -> (request line, body, headers, status, response keys (None:
+#: a text body) and error code, pinned headers, gateway counters moved
+#: by one)``, against a gateway with a bearer token.  ``sidecar-``
+#: cases run against the ``--metrics`` sidecar instead, with no token.
+HTTP_WIRE_CASES = {
+    "health": ("GET /v1/health", None, (), 200, (_HEALTH,), {},
+               "responses"),
+    "stats": ("GET /v1/stats", None, _TOKEN, 200,
+              ("admission gateway latency service",), {}, "responses"),
+    "metrics": ("GET /metrics", None, _TOKEN, 200, None, {}, "responses"),
+    "evaluate": ("POST /v1/evaluate", make_spec(300), _TOKEN, 200,
+                 ("id outcomes",), {}, "requests responses"),
+    "evaluate-401": ("POST /v1/evaluate", make_spec(301), (), 401,
+                     (*_ERROR, "unauthorized"),
+                     {"WWW-Authenticate": "Bearer"}, "unauthorized errors"),
+    "evaluate-bad-json": ("POST /v1/evaluate", "{nope", _TOKEN, 400,
+                          (*_ERROR, "bad_request"), {},
+                          "bad_requests errors"),
+    "evaluate-bad-priority": ("POST /v1/evaluate", make_spec(302, "urgent"),
+                              _TOKEN, 400, (*_ERROR, "bad_request"), {},
+                              "bad_requests errors"),
+    "evaluate-bad-deadline-header": (
+        "POST /v1/evaluate", make_spec(303),
+        _TOKEN + (("X-Request-Deadline", "soon"),), 400,
+        (*_ERROR, "bad_request"), {}, "bad_requests errors"),
+    "evaluate-expired-deadline": (
+        "POST /v1/evaluate", make_spec(304, deadline_ms=0), _TOKEN, 504,
+        (*_ERROR, "deadline_exceeded"), {}, "deadline_rejected errors"),
+    "evaluate-405": ("GET /v1/evaluate", None, _TOKEN, 405,
+                     (*_ERROR, "method_not_allowed"), {"Allow": "POST"},
+                     "errors"),
+    "evolve": ("POST /v1/evolve", _EVOLVE, _TOKEN, 200,
+               ("best generations id wall_seconds",), {},
+               "requests responses evolve_runs"),
+    "evolve-unknown-field": ("POST /v1/evolve", {"bogus": 1}, _TOKEN, 400,
+                             (*_ERROR, "bad_request"), {},
+                             "requests bad_requests errors"),
+    "evolve-405": ("GET /v1/evolve", None, _TOKEN, 405,
+                   (*_ERROR, "method_not_allowed"), {"Allow": "POST"},
+                   "errors"),
+    "stream-without-upgrade": ("GET /v1/stream", None, _TOKEN, 400,
+                               (*_ERROR, "bad_request"), {}, "errors"),
+    "unknown-route": ("GET /v1/nope", None, _TOKEN, 404,
+                      (*_ERROR, "not_found"), {}, "errors"),
+    "post-health": ("POST /v1/health", None, _TOKEN, 404,
+                    (*_ERROR, "not_found"), {}, "errors"),
+    "get-shutdown": ("GET /v1/shutdown", None, _TOKEN, 404,
+                     (*_ERROR, "not_found"), {}, "errors"),
+    "shutdown": ("POST /v1/shutdown", None, _TOKEN, 200, ("ok",), {},
+                 "responses"),
+    "sidecar-health": ("GET /v1/health", None, (), 200, (_HEALTH,), {},
+                       "responses"),
+    "sidecar-metrics": ("GET /metrics", None, (), 200, None, {},
+                        "responses"),
+    **{
+        f"sidecar-{method.lower()}-{path.rsplit('/', 1)[1]}": (
+            f"{method} {path}", None, (), 404, (*_ERROR, "not_found"), {},
+            "errors")
+        for method, path in (("GET", "/v1/stats"), ("POST", "/v1/evaluate"),
+                             ("GET", "/v1/evaluate"), ("GET", "/v1/stream"))
+    },
+}
+_PINNED_HEADERS = ("Allow", "WWW-Authenticate", "Retry-After")
+
+
+def pinned_headers(headers):
+    return {name: headers[name] for name in _PINNED_HEADERS
+            if name in headers}
+
+
+def counters_moved(before, after):
+    """Counters that changed, by how much (connection counts aside)."""
+    return {
+        name: after[name] - before[name] for name in after
+        if after[name] != before[name] and not name.startswith("connections_")
+    }
+
+
+@pytest.fixture(scope="module")
+def pin_service():
+    with EvaluationService(n_workers=1) as service:
+        yield service
+
+
+@pytest.mark.parametrize("case", sorted(HTTP_WIRE_CASES))
+def test_wire_pin_route_response_headers_and_counters(case, pin_service):
+    line, body, headers, status, shape, pinned, moved = HTTP_WIRE_CASES[case]
+    method, path = line.split()
+    sidecar = case.startswith("sidecar-")
+    gw = GatewayInThread(pin_service, **(
+        {"metrics_only": True} if sidecar else {"auth_token": "pin-token"}
+    ))
+    with contextlib.ExitStack() as stack:
+        gw.__enter__()
+        if path != "/v1/shutdown":   # that one drains the gateway itself
+            stack.callback(gw.__exit__, None, None, None)
+        stats = gw.gateway.stats
+        before = stats.snapshot()
+        got_status, got_headers, payload = http_request(
+            gw.address, method, path, headers=headers,
+            body=body if body is None or isinstance(body, str)
+            else json.dumps(body),
+        )
+        deadline = time.monotonic() + 10   # the handler closes, then counts
+        while stats.connections_closed < stats.connections_opened:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        got_moved = counters_moved(before, stats.snapshot())
+    gw._thread.join(10)
+    assert got_status == status
+    if shape is None:
+        assert got_headers["Content-Type"] == "text/plain; version=0.0.4"
+        assert payload.startswith("repro_")
+    else:
+        keys, *code = shape
+        assert got_headers["Content-Type"] == "application/json"
+        assert sorted(payload) == keys.split()
+        assert [payload.get("error", {}).get("code")] == (code or [None])
+    assert pinned_headers(got_headers) == pinned
+    assert got_moved == dict.fromkeys(moved.split(), 1)
+
+
+def test_wire_pin_overload_refusal_carries_retry_after():
+    service = EvaluationService(n_workers=1, autostart=False)
+    try:
+        with GatewayInThread(service, max_inflight=1) as gw:
+            parked = threading.Thread(target=http_request, daemon=True, args=(
+                gw.address, "POST", "/v1/evaluate", json.dumps(make_spec(306))
+            ))
+            parked.start()
+            stats, deadline = gw.gateway.stats, time.monotonic() + 10
+            while stats.requests < 1 or service.snapshot()["requests"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            before = stats.snapshot()
+            status, headers, payload = http_request(
+                gw.address, "POST", "/v1/evaluate",
+                body=json.dumps(make_spec(307)),
+                headers=(("X-Client-Id", "other"),),
+            )
+            while stats.connections_closed <= before["connections_closed"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            moved = counters_moved(before, stats.snapshot())
+            service.start()
+            parked.join(timeout=30)
+    finally:
+        service.close()
+    assert (status, sorted(payload)) == (429, ["error"])
+    assert payload["error"]["code"] == "overloaded"
+    assert pinned_headers(headers) == {"Retry-After": "1"}
+    assert moved == {"overloaded": 1, "errors": 1}

@@ -36,6 +36,7 @@ from repro.service.transport import (
     MAX_FRAME_BYTES,
     encode_frame,
     parse_address,
+    read_frame,
     recv_frame,
 )
 
@@ -426,3 +427,80 @@ class TestServeCliTcp:
         stats = json.loads(server.stderr.strip().splitlines()[-1])["stats"]
         assert stats["transport"]["responses"] >= 1
         assert "adaptive" in stats["service"]
+
+
+# -- wire pin: every op's response shape and the counters it moves --------
+
+#: ``name -> (frame, response keys, error code, transport counters the
+#: frame moves by one)``.  A ``bytes`` frame is sent as a raw body; a
+#: ``cluster-`` case runs with cluster membership.
+TCP_WIRE_CASES = {
+    "ping": ({"op": "ping"}, "id pong", None, ""),
+    "stats": ({"op": "stats"}, "id stats", None, ""),
+    "health": ({"op": "health"}, "health id", None, ""),
+    "cluster-health": ({"op": "health", "gossip": None}, "health id", None,
+                       ""),
+    "cluster-partition": ({"op": "partition", "block": ["n9"]},
+                          "blocked id ok", None, ""),
+    "partition": ({"op": "partition"}, "error id", "bad_request", "errors"),
+    "cancel": ({"op": "cancel", "idem": "x"}, "cancelled id ok", None,
+               "cancels"),
+    "replicate": ({"op": "replicate", "records": []}, "error id",
+                  "bad_request", "errors"),
+    "sync": ({"op": "sync", "buckets": []}, "error id", "bad_request",
+             "errors"),
+    "unknown-op": ({"op": "explode"}, "error id", "bad_request", "errors"),
+    "evaluate": (spec_for(200), "id outcomes", None, "requests responses"),
+    "bad-spec": ({"fsm": "nonsense"}, "error id", "bad_request",
+                 "bad_requests errors"),
+    "expired-deadline": (spec_for(201, deadline_ms=0), "error id",
+                         "deadline_exceeded",
+                         "requests deadline_exceeded errors"),
+    "bad-frame": (b"not json", "error id", "bad_frame", "bad_frames errors"),
+    "shutdown": ({"op": "shutdown"}, "id ok", None, ""),
+}
+
+
+def counters_moved(before, after):
+    """Counters that changed, by how much (connection counts aside)."""
+    return {
+        name: after[name] - before[name] for name in after
+        if after[name] != before[name] and not name.startswith("connections_")
+    }
+
+
+@pytest.mark.parametrize("case", sorted(TCP_WIRE_CASES))
+def test_wire_pin_op_response_and_counters(case):
+    from repro.service.cluster import ClusterMembership
+
+    frame, keys, code, moved = TCP_WIRE_CASES[case]
+    membership = (
+        ClusterMembership("n0", ("127.0.0.1", 1))
+        if case.startswith("cluster-") else None
+    )
+
+    async def scenario():
+        with EvaluationService(n_workers=1) as service:
+            server = await AsyncEvaluationServer(
+                service, membership=membership
+            ).start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            await wait_until(lambda: server.stats.connections_opened == 1)
+            before = server.stats.snapshot()
+            writer.write(
+                FRAME_HEADER.pack(len(frame)) + frame
+                if isinstance(frame, bytes)
+                else encode_frame({"id": case, **frame})
+            )
+            response = json.loads(await asyncio.wait_for(read_frame(reader),
+                                                         30))
+            writer.close()   # the handler drains before counting the close
+            await wait_until(lambda: server.stats.connections_closed == 1)
+            await server.aclose()
+            return response, counters_moved(before, server.stats.snapshot())
+
+    response, got_moved = asyncio.run(scenario())
+    assert sorted(response) == keys.split()
+    assert response["id"] == (None if isinstance(frame, bytes) else case)
+    assert response.get("error", {}).get("code") == code
+    assert got_moved == dict.fromkeys(moved.split(), 1)

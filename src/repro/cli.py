@@ -371,22 +371,21 @@ def _serve_network(args, addresses, tls, service, journal=None):
                 factor=factor, hints=hints,
             )
 
-    def _build_gateway(host, port, session=None, metrics_only=False):
-        from repro.service.gateway import GatewayServer
+    def _build_gateway(host, port, listener=None, sidecar=False):
+        from repro.service.gateway import GatewayServer, MetricsSidecar
 
-        return GatewayServer(
+        return (MetricsSidecar if sidecar else GatewayServer)(
             service, host=host, port=port,
             auth_token=getattr(args, "auth_token", None),
-            tls=tls if not metrics_only else None,
-            journal=None if session is not None else journal,
+            tls=None if sidecar else tls,
+            journal=None if listener is not None else journal,
             membership=membership,
             request_timeout=args.request_timeout,
             max_inflight=getattr(args, "max_inflight", 64),
             max_inflight_per_client=getattr(
                 args, "max_inflight_per_client", 16
             ),
-            metrics_only=metrics_only,
-            session=session,
+            listener=listener,
         )
 
     async def run():
@@ -410,10 +409,7 @@ def _serve_network(args, addresses, tls, service, journal=None):
                 servers.append(("listening on", primary))
             if "http" in addresses:
                 host, port = addresses["http"]
-                gateway = _build_gateway(
-                    host, port,
-                    session=primary.session if primary is not None else None,
-                )
+                gateway = _build_gateway(host, port, listener=primary)
                 if primary is None:
                     gateway.session.replicator = replicator
                 await gateway.start()
@@ -423,7 +419,7 @@ def _serve_network(args, addresses, tls, service, journal=None):
             if "metrics" in addresses:
                 host, port = addresses["metrics"]
                 sidecar = _build_gateway(
-                    host, port, session=primary.session, metrics_only=True
+                    host, port, listener=primary, sidecar=True
                 )
                 await sidecar.start()
                 servers.append(("serving metrics on", sidecar))

@@ -184,6 +184,7 @@ class AppendLog:
         self.fault_site = fault_site
         self._lock = threading.Lock()
         self._fd = self._fd_ino = None
+        self._fragment = b""   # what a torn or failed append left
         self._write_latency = LatencyHistogram(floor=1e-6)
         self._fsync_latency = LatencyHistogram(floor=1e-6)
         # lifetime counters; each store reports the ones it always had
@@ -256,7 +257,11 @@ class AppendLog:
         """Append one record, fsync'd when ``durable``.
 
         Returns False when the fault site tore the write (half the line
-        reached the file; the next :meth:`load` truncates it).
+        reached the file).  A short write is completed.  A write that
+        stops mid-line -- torn, or failed after part of it landed --
+        leaves a fragment the next append cuts first, under the
+        exclusive lock and only while the file still ends with it, so
+        the next record never fuses onto it.
         """
         data = (self.codec.encode(record) + "\n").encode()
         fault = maybe_fault(self.fault_site) if self.fault_site else None
@@ -264,19 +269,34 @@ class AppendLog:
             data, durable = data[: max(1, len(data) // 2)], False
         with self._lock:
             started = time.perf_counter()
-            fd = self._live_fd_locked(LOCK_SH)
+            fd = self._live_fd_locked(LOCK_EX if self._fragment else LOCK_SH)
+            written = 0
             try:
-                os.write(fd, data)
-                written = time.perf_counter()
-                self._write_latency.observe(written - started)
+                self._cut_fragment_locked(fd)
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+                wrote = time.perf_counter()
+                self._write_latency.observe(wrote - started)
                 if durable:
                     os.fsync(fd)
-                    self._fsync_latency.observe(time.perf_counter() - written)
+                    self._fsync_latency.observe(time.perf_counter() - wrote)
             finally:
+                if fault is not None or written < len(data):
+                    self._fragment = data[:written]
                 flock(fd, LOCK_UN)
             if fault is not None:
                 self.torn_writes += 1
         return fault is None
+
+    def _cut_fragment_locked(self, fd):
+        fragment, self._fragment = self._fragment, b""
+        if not fragment:
+            return
+        size = os.fstat(fd).st_size
+        with open(self.path, "rb") as handle:   # the inode ``fd`` is on
+            handle.seek(max(0, size - len(fragment)))
+            if handle.read() == fragment:   # nobody appended after it
+                os.ftruncate(fd, size - len(fragment))
 
     def load(self):
         """The records of the valid prefix, truncating a torn tail."""

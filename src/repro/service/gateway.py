@@ -1,45 +1,23 @@
 """HTTP/1.1 + WebSocket gateway: the service's production front door.
 
 ``repro-a2a serve --http HOST:PORT`` fronts one
-:class:`repro.service.EvaluationService` with a standards-speaking
-asyncio server -- stdlib only -- so anything that can speak HTTP can
-drive the reproduction and observe it:
+:class:`repro.service.EvaluationService` with a stdlib asyncio server:
+framing, auth and admission around the op table it shares with the TCP
+transport (:class:`repro.service.transport.BaseAsyncServer`).
+``GET /v1/health``, ``GET /v1/stats``, ``GET /metrics`` (Prometheus
+text), ``POST /v1/shutdown``, ``POST /v1/evaluate`` (interactive unless
+the spec says otherwise) and ``POST /v1/evolve`` (always bulk) each call
+one op; ``WS /v1/stream`` splits each campaign spec into per-FSM
+``evaluate`` calls and streams one message per FSM, in order.
 
-* ``POST /v1/evaluate`` -- one JSON workload spec (the same vocabulary
-  as the framed TCP protocol and stdin JSONL mode), answered with its
-  ``outcomes`` list;
-* ``POST /v1/evolve`` -- run the paper's mutation-only evolution on a
-  spec; always admitted in the **bulk** class;
-* ``GET /v1/health`` -- the session health payload (pool watchdog,
-  queue depth, cache, idempotency, journal) plus gateway counters and,
-  in cluster mode, the gossip membership exchange;
-* ``GET /v1/stats`` -- the full counter snapshot;
-* ``GET /metrics`` -- Prometheus-style text exposition of every
-  journal/pool/idempotency/cache/adaptive-batch counter plus per-class
-  latency histograms (p50/p99);
-* ``WS /v1/stream`` -- a WebSocket that accepts campaign specs and
-  streams one message per FSM as results land, in submission order;
-* ``POST /v1/shutdown`` -- graceful drain, mirroring the TCP
-  ``shutdown`` op.
-
-Operational hardening is layered on top of the shared serving core
-(:class:`repro.service.transport.BaseAsyncServer` -- one
-:class:`~repro.service.jsonl.ServeSession`, one decode thread, the same
-drain and request-timeout semantics as the TCP transport):
-
-* **token auth** -- ``auth_token`` requires ``Authorization: Bearer
-  <token>`` (constant-time compare) on every endpoint except
-  ``GET /v1/health``, which stays open so supervisors and load
-  balancers can probe without credentials;
-* **TLS** -- pass an :class:`ssl.SSLContext` as ``tls``;
-* **admission control** -- two priority classes.  ``/v1/evaluate``
-  defaults to **interactive** (queued ahead of bulk in the service's
-  priority dispatcher); campaign shards and ``/v1/evolve`` are
-  **bulk**.  Bulk admissions stop at a fraction of the global in-flight
-  budget so saturating bulk load can never starve interactive requests
-  (no priority inversion); each client is further bounded to
-  ``max_inflight_per_client``.  Refusals are ``429`` with a
-  ``Retry-After`` header.
+A bearer token (``auth_token``, constant-time compare) guards every
+route but ``GET /v1/health``, which supervisors probe without
+credentials; ``tls`` takes an :class:`ssl.SSLContext`.  Admission has
+two priority classes: bulk admissions stop at a fraction of the
+in-flight budget, so bulk load never starves interactive requests; each
+client is bounded to ``max_inflight_per_client``; refusals are ``429``
+with ``Retry-After``, and a spent deadline is refused before admission.
+See "Request pipeline" in ``docs/GATEWAY.md``.
 """
 
 import asyncio
@@ -55,8 +33,8 @@ import ssl as ssl_module
 import struct
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from repro.resilience.deadline import (
     DEADLINE_FIELD,
@@ -71,9 +49,11 @@ from repro.service.transport import (
     ERR_CANCELLED,
     ERR_DEADLINE_EXCEEDED,
     ERR_EVALUATION_FAILED,
+    ERR_OVERLOADED,
     ERR_SHUTTING_DOWN,
     ERR_TIMEOUT,
     MAX_FRAME_BYTES,
+    WORK_OPS,
     BaseAsyncServer,
     RequestExecutionError,
     TransportError,
@@ -84,7 +64,6 @@ from repro.service.transport import (
 
 #: Gateway-only error codes, extending the transport taxonomy.
 ERR_UNAUTHORIZED = "unauthorized"
-ERR_OVERLOADED = "overloaded"
 ERR_NOT_FOUND = "not_found"
 ERR_METHOD_NOT_ALLOWED = "method_not_allowed"
 
@@ -129,13 +108,11 @@ _WS_PONG = 0xA
 _WS_GOING_AWAY = struct.pack(">H", 1001)
 
 
-class GatewayError(Exception):
+class GatewayError(RequestExecutionError):
     """An HTTP-visible failure: status + protocol error code."""
 
     def __init__(self, code, message, retry_after=None):
-        super().__init__(f"[{code}] {message}")
-        self.code = code
-        self.message = message
+        super().__init__(code, message)
         self.status = _CODE_STATUS.get(code, 500)
         self.retry_after = retry_after
 
@@ -305,85 +282,95 @@ def ws_encode_frame(payload, opcode=_WS_TEXT, mask=False):
     return bytes(head) + payload
 
 
-def _metric_name(*parts):
-    cleaned = "_".join(str(part) for part in parts if part != "")
-    return "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in cleaned
-    )
-
-
-def _flatten_metrics(prefix, value, out):
-    if isinstance(value, bool):
-        out.append((prefix, int(value)))
-    elif isinstance(value, (int, float)):
-        out.append((prefix, value))
-    elif isinstance(value, dict):
-        for key, nested in value.items():
-            _flatten_metrics(_metric_name(prefix, key), nested, out)
-    # lists (recent widths etc.) have no scalar exposition; skip them
-
-
-def render_metrics(snapshot, histograms=()):
-    """Prometheus-style text exposition of a counter snapshot.
-
-    Every numeric leaf of ``snapshot`` becomes one
-    ``repro_<path> <value>`` sample, so the journal, pool-watchdog,
-    idempotency, cache and adaptive-batch counters are all exported
-    without a hand-maintained schema.  ``histograms`` maps admission
-    class -> :class:`LatencyHistogram`, exported as quantile gauges
-    plus ``_count``/``_sum``.
-    """
-    samples = []
-    _flatten_metrics("repro", snapshot, samples)
-    lines = [f"{name} {value}" for name, value in samples]
-    for label, histogram in dict(histograms).items():
-        snap = histogram.snapshot()
-        base = "repro_gateway_request_latency_seconds"
-        lines.append(f'{base}{{class="{label}",quantile="0.5"}} {snap["p50"]}')
-        lines.append(f'{base}{{class="{label}",quantile="0.99"}} {snap["p99"]}')
-        lines.append(f'{base}_count{{class="{label}"}} {snap["count"]}')
-        lines.append(f'{base}_sum{{class="{label}"}} {snap["sum"]}')
-    return "\n".join(lines) + "\n"
-
-
 class _HttpConnectionClosed(Exception):
     """The peer went away between requests (clean keep-alive EOF)."""
+
+
+class _Route(NamedTuple):
+    """One HTTP route onto an op of the shared op table."""
+
+    #: the method it answers; ``None``: any, upgraded to a WebSocket
+    method: str
+    op: str
+    #: the payload entry that is the HTTP body (``None``: the payload)
+    body_key: str = None
+    #: a work route's admission class when the spec names no
+    #: ``priority``; ``None``: bulk, whatever the spec says
+    priority: str = None
+
+
+#: path -> route.  A work route (evaluate, evolve) answers another
+#: method with 405; any other mismatch is a 404, like an unknown path.
+_ROUTES = {
+    "/v1/health": _Route("GET", "health", body_key="health"),
+    "/v1/stats": _Route("GET", "stats", body_key="stats"),
+    "/metrics": _Route("GET", "metrics", body_key="metrics"),
+    "/v1/shutdown": _Route("POST", "shutdown"),
+    "/v1/evaluate": _Route("POST", "evaluate", priority="interactive"),
+    "/v1/evolve": _Route("POST", "evolve"),
+    "/v1/stream": _Route(None, "evaluate", priority="bulk"),
+}
+
+#: The one route served without a bearer token: supervisors and load
+#: balancers probe liveness without credentials.
+_OPEN_ROUTE = ("GET", "/v1/health")
+
+#: Headers an error response of each code carries.
+_CODE_HEADERS = {
+    ERR_UNAUTHORIZED: (("WWW-Authenticate", "Bearer"),),
+    ERR_METHOD_NOT_ALLOWED: (("Allow", "POST"),),   # work routes are POST
+}
+
+
+def _error_payload(code, message):
+    return {"error": {"code": code, "message": message}}
+
+
+def _retrieve(task):
+    """Mark a finished task's outcome retrieved (nobody awaits it)."""
+    if not task.cancelled():
+        task.exception()
 
 
 class GatewayServer(BaseAsyncServer):
     """The HTTP/1.1 + WebSocket front of one :class:`EvaluationService`.
 
-    Shares the serving core with the framed TCP transport (one
-    :class:`~repro.service.jsonl.ServeSession`, so workloads arriving
-    over HTTP coalesce into the same dispatcher batches as TCP ones,
-    and drain/timeout semantics are identical).  ``port=0`` binds an
-    ephemeral port; read :attr:`address` after :meth:`start`.
+    Shares the serving core -- the op table, the decode thread, drain
+    and timeout semantics -- with the framed TCP transport.  HTTP maps
+    ``(method, path)`` onto an op and an error code onto a status; a
+    WebSocket stream splits each campaign into per-FSM ``evaluate``
+    calls.  ``port=0`` binds an ephemeral port; read :attr:`address`
+    after :meth:`start`.
 
-    ``metrics_only=True`` serves just ``GET /v1/health`` and
-    ``GET /metrics`` -- the ``--metrics`` sidecar listener.
+    ``listener`` is the serving listener whose
+    :class:`~repro.service.jsonl.ServeSession` this one shares (combined
+    ``--tcp`` + ``--http`` serving, or the ``--metrics`` sidecar), so
+    workloads arriving over HTTP coalesce into the same dispatcher
+    batches and idempotency and the journal are one across protocols.
     """
+
+    OPS = frozenset({"health", "stats", "metrics", "shutdown", "evaluate",
+                     "evolve"})
+    #: The 404 message for a path or op this listener does not serve.
+    NOT_SERVED = "no route for {path}"
 
     def __init__(self, service, host="127.0.0.1", port=0, auth_token=None,
                  tls=None, journal=None, membership=None,
                  request_timeout=None, max_inflight=64,
                  max_inflight_per_client=16, bulk_fraction=0.75,
-                 max_body_bytes=MAX_FRAME_BYTES, metrics_only=False,
-                 session=None):
+                 max_body_bytes=MAX_FRAME_BYTES, listener=None):
         super().__init__(service, request_timeout=request_timeout,
                          journal=journal, name="gateway")
-        self._shared_session = session is not None
-        if session is not None:
-            # combined serving (--tcp + --http) or the --metrics sidecar:
-            # share the primary transport's session so idempotency, the
-            # journal and workload caches are one across protocols
-            self.session = session
+        self.listener = listener
+        if listener is not None:
+            self.session = listener.session
+            self._owns_session = False
         self.host = host
         self.port = port
         self.auth_token = auth_token
         self.tls = tls
         self.membership = membership
         self.max_body_bytes = int(max_body_bytes)
-        self.metrics_only = metrics_only
         self.admission = AdmissionController(
             max_inflight=max_inflight,
             max_per_client=max_inflight_per_client,
@@ -394,44 +381,18 @@ class GatewayServer(BaseAsyncServer):
             "bulk": LatencyHistogram(),
         }
         self.stats = GatewayStats()
-        self._server = None
-        self._handlers = set()
-        self._evolve_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="gateway-evolve"
-        )
 
-    @property
-    def address(self):
-        """``(host, port)`` actually bound (resolves ``port=0``)."""
-        return self._server.sockets[0].getsockname()[:2]
-
-    async def start(self):
-        if not self._shared_session:   # the session's owner replays
-            await self._replay_journal()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, ssl=self.tls
-        )
-        return self
-
-    async def aclose(self):
-        """Graceful shutdown: stop accepting/reading, drain, close."""
-        self._closing = True
-        self._stop_reading.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers),
-                                 return_exceptions=True)
-        self._decode_executor.shutdown(wait=False)
-        self._evolve_executor.shutdown(wait=False)
-        self._shutdown_requested.set()
+    def counters(self):
+        """This front end's own counters, as ``health`` shows them."""
+        return {
+            "gateway": self.stats.snapshot(),
+            "admission": self.admission.snapshot(),
+        }
 
     def snapshot(self):
         """Gateway, admission and latency counters plus the session's."""
         snapshot = {
-            "gateway": self.stats.snapshot(),
-            "admission": self.admission.snapshot(),
+            **self.counters(),
             "latency": {
                 label: histogram.snapshot()
                 for label, histogram in self.histograms.items()
@@ -449,12 +410,13 @@ class GatewayServer(BaseAsyncServer):
             snapshot["replication"] = replicator.summary()
         return snapshot
 
+    def encode_outcomes(self, outcomes):
+        """The wire form of ``outcomes``, through this module's codec."""
+        return [outcome_to_dict(outcome) for outcome in outcomes]
+
     # -- connection handling ------------------------------------------------
 
     async def _handle_connection(self, reader, writer):
-        handler = asyncio.current_task()
-        self._handlers.add(handler)
-        self.stats.connections_opened += 1
         peer = writer.get_extra_info("peername")
         peer_host = peer[0] if peer else "unknown"
         try:
@@ -463,27 +425,20 @@ class GatewayServer(BaseAsyncServer):
                     request = await self._read_or_stop(
                         self._read_http_request(reader)
                     )
-                except _StopReading:
-                    break
-                except _HttpConnectionClosed:
+                except (_StopReading, _HttpConnectionClosed):
                     break
                 except GatewayError as exc:
-                    await self._send_response(
-                        writer, exc.status, self._error_body(exc)
-                    )
+                    await self._send_error(writer, exc)
                     break
                 except (ValueError, asyncio.IncompleteReadError,
                         asyncio.LimitOverrunError):
-                    await self._send_response(
-                        writer, 400,
-                        self._error_payload(ERR_BAD_REQUEST,
-                                            "malformed HTTP request"),
-                    )
+                    await self._send_error(writer, GatewayError(
+                        ERR_BAD_REQUEST, "malformed HTTP request"
+                    ))
                     break
-                keep_alive = await self._dispatch(
+                if not await self._serve_request(
                     request, reader, writer, peer_host
-                )
-                if not keep_alive:
+                ):
                     break
         except (ConnectionError, OSError):
             pass
@@ -491,8 +446,6 @@ class GatewayServer(BaseAsyncServer):
             with contextlib.suppress(ConnectionError, OSError):
                 writer.close()
                 await writer.wait_closed()
-            self._handlers.discard(handler)
-            self.stats.connections_closed += 1
 
     async def _read_http_request(self, reader):
         request_line = await reader.readline()
@@ -526,9 +479,12 @@ class GatewayServer(BaseAsyncServer):
 
     # -- responses ----------------------------------------------------------
 
-    async def _send_response(self, writer, status, body,
-                             content_type="application/json",
-                             extra_headers=(), keep_alive=True):
+    async def _send_response(self, writer, status, body, extra_headers=(),
+                             keep_alive=True):
+        content_type = (
+            "text/plain; version=0.0.4" if isinstance(body, str)
+            else "application/json"
+        )
         if isinstance(body, (dict, list)):
             body = json.dumps(body, separators=(",", ":")).encode()
         elif isinstance(body, str):
@@ -550,14 +506,19 @@ class GatewayServer(BaseAsyncServer):
         else:
             self.stats.responses += 1
 
-    @staticmethod
-    def _error_payload(code, message):
-        return {"error": {"code": code, "message": message}}
+    async def _send_error(self, writer, exc, keep_alive=True):
+        """The HTTP error response for a :class:`RequestExecutionError`."""
+        headers = list(_CODE_HEADERS.get(exc.code, ()))
+        retry_after = getattr(exc, "retry_after", None)
+        if retry_after is not None:
+            headers.append(("Retry-After", str(retry_after)))
+        await self._send_response(
+            writer, _CODE_STATUS.get(exc.code, 500),
+            _error_payload(exc.code, exc.message),
+            extra_headers=headers, keep_alive=keep_alive,
+        )
 
-    def _error_body(self, exc):
-        return self._error_payload(exc.code, exc.message)
-
-    # -- auth + routing -----------------------------------------------------
+    # -- auth, routing and admission ----------------------------------------
 
     def _authorized(self, headers):
         if self.auth_token is None:
@@ -573,266 +534,136 @@ class GatewayServer(BaseAsyncServer):
         p50 = self.histograms["interactive"].quantile(0.50)
         return max(1, math.ceil(p50))
 
-    async def _dispatch(self, request, reader, writer, peer_host):
+    async def _serve_request(self, request, reader, writer, peer_host):
+        """Answer one HTTP request; whether the connection stays open."""
         method, target, headers, body = request
         path = target.partition("?")[0].rstrip("/") or "/"
         client_id = headers.get("x-client-id", peer_host)
-        wants_close = headers.get("connection", "").lower() == "close"
-        keep_alive = not wants_close
-
-        # Health stays unauthenticated so supervisors and load balancers
-        # can probe liveness without credentials; everything else
-        # (including /metrics) is behind the bearer token when one is set.
-        needs_auth = not (method == "GET" and path == "/v1/health")
-        if needs_auth and not self._authorized(headers):
-            self.stats.unauthorized += 1
-            await self._send_response(
-                writer, 401,
-                self._error_payload(ERR_UNAUTHORIZED,
-                                    "missing or invalid bearer token"),
-                extra_headers=[("WWW-Authenticate", "Bearer")],
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-
-        if path == "/v1/health" and method == "GET":
-            await self._send_response(writer, 200, self._health_payload(),
-                                      keep_alive=keep_alive)
-            return keep_alive
-        if path == "/metrics" and method == "GET":
-            await self._send_response(
-                writer, 200,
-                render_metrics(self.snapshot(), self.histograms),
-                content_type="text/plain; version=0.0.4",
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-        if self.metrics_only:
-            await self._send_response(
-                writer, 404,
-                self._error_payload(
-                    ERR_NOT_FOUND,
-                    "metrics-only listener: use the serving transport",
-                ),
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-        if path == "/v1/stats" and method == "GET":
-            await self._send_response(writer, 200, self.snapshot(),
-                                      keep_alive=keep_alive)
-            return keep_alive
-        if path == "/v1/stream":
-            if headers.get("upgrade", "").lower() != "websocket":
-                await self._send_response(
-                    writer, 400,
-                    self._error_payload(ERR_BAD_REQUEST,
-                                        "/v1/stream requires a WebSocket "
-                                        "upgrade"),
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            await self._handle_stream(headers, reader, writer, client_id)
-            return False
-        if path == "/v1/shutdown" and method == "POST":
-            await self._send_response(writer, 200, {"ok": True},
-                                      keep_alive=False)
-            self.request_shutdown()
-            return False
-        if path in ("/v1/evaluate", "/v1/evolve"):
-            if method != "POST":
-                await self._send_response(
-                    writer, 405,
-                    self._error_payload(ERR_METHOD_NOT_ALLOWED,
-                                        f"{path} requires POST"),
-                    extra_headers=[("Allow", "POST")],
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            try:
-                spec = json.loads(body.decode() or "{}")
-                if not isinstance(spec, dict):
-                    raise ValueError("request body must be a JSON object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                self.stats.bad_requests += 1
-                await self._send_response(
-                    writer, 400,
-                    self._error_payload(ERR_BAD_REQUEST,
-                                        f"invalid JSON body: {exc}"),
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            # X-Request-Deadline carries remaining budget in ms for
-            # clients that cannot touch the body; an explicit body
-            # field wins when both are present.
-            budget = headers.get(DEADLINE_HEADER.lower())
-            if budget is not None and DEADLINE_FIELD not in spec:
-                try:
-                    spec[DEADLINE_FIELD] = int(float(budget))
-                except ValueError:
-                    self.stats.bad_requests += 1
-                    await self._send_response(
-                        writer, 400,
-                        self._error_payload(
-                            ERR_BAD_REQUEST,
-                            f"invalid {DEADLINE_HEADER} header "
-                            f"{budget!r}: expected milliseconds",
-                        ),
-                        keep_alive=keep_alive,
+        keep_alive = headers.get("connection", "").lower() != "close"
+        route = _ROUTES.get(path)
+        try:
+            if (method, path) != _OPEN_ROUTE and not self._authorized(
+                headers
+            ):
+                self.stats.unauthorized += 1
+                raise GatewayError(ERR_UNAUTHORIZED,
+                                   "missing or invalid bearer token")
+            if route is None or route.op not in self.OPS or (
+                route.method not in (None, method)
+                and route.op not in WORK_OPS
+            ):
+                raise GatewayError(ERR_NOT_FOUND,
+                                   self.NOT_SERVED.format(path=path))
+            if route.method is None:
+                if headers.get("upgrade", "").lower() != "websocket":
+                    raise GatewayError(
+                        ERR_BAD_REQUEST,
+                        f"{path} requires a WebSocket upgrade",
                     )
-                    return keep_alive
-            if path == "/v1/evaluate":
-                status, payload, extra = await self._handle_evaluate(
-                    spec, client_id
-                )
+                await self._handle_stream(headers, reader, writer,
+                                          client_id, route)
+                return False
+            if route.method != method:
+                raise GatewayError(ERR_METHOD_NOT_ALLOWED,
+                                   f"{path} requires {route.method}")
+            if route.op in WORK_OPS:
+                spec = self._decode_spec(body, headers)
+                label = self._admission_class(spec, route)
+                with self._admission(client_id, label):
+                    payload = await self.run_op(route.op, spec)
             else:
-                status, payload, extra = await self._handle_evolve(
-                    spec, client_id
-                )
-            await self._send_response(writer, status, payload,
-                                      extra_headers=extra,
-                                      keep_alive=keep_alive)
+                payload = await self.run_op(route.op, {})
+        except RequestExecutionError as exc:
+            await self._send_error(writer, exc, keep_alive=keep_alive)
             return keep_alive
+        keep_alive = keep_alive and not self._shutdown_requested.is_set()
         await self._send_response(
-            writer, 404,
-            self._error_payload(ERR_NOT_FOUND, f"no route for {path}"),
+            writer, 200,
+            payload if route.body_key is None else payload[route.body_key],
             keep_alive=keep_alive,
         )
         return keep_alive
 
-    def _health_payload(self):
-        health = self.session.health()
-        health["gateway"] = self.stats.snapshot()
-        health["admission"] = self.admission.snapshot()
-        if self.membership is not None:
-            view = self.membership.exchange(None)
-            if view is not None:
-                health["membership"] = view
-        return health
+    def _decode_spec(self, body, headers):
+        """The JSON spec a work route's body carries.
 
-    # -- evaluation ---------------------------------------------------------
+        ``X-Request-Deadline`` carries remaining budget in ms for
+        clients that cannot touch the body; an explicit body field wins
+        when both are present.
+        """
+        try:
+            spec = json.loads(body.decode() or "{}")
+            if not isinstance(spec, dict):
+                raise ValueError("request body must be a JSON object")
+        except (ValueError, UnicodeDecodeError) as exc:
+            self.count_error(ERR_BAD_REQUEST)
+            raise GatewayError(ERR_BAD_REQUEST,
+                               f"invalid JSON body: {exc}") from None
+        budget = headers.get(DEADLINE_HEADER.lower())
+        if budget is not None and DEADLINE_FIELD not in spec:
+            try:
+                spec[DEADLINE_FIELD] = int(float(budget))
+            except (ValueError, OverflowError):
+                self.count_error(ERR_BAD_REQUEST)
+                raise GatewayError(
+                    ERR_BAD_REQUEST,
+                    f"invalid {DEADLINE_HEADER} header {budget!r}: "
+                    "expected milliseconds",
+                ) from None
+        return spec
 
-    def _count_error(self, exc):
-        if exc.code == ERR_TIMEOUT:
-            self.stats.timeouts += 1
-        elif exc.code == ERR_BAD_REQUEST:
-            self.stats.bad_requests += 1
-        elif exc.code == ERR_OVERLOADED:
-            self.stats.overloaded += 1
-        elif exc.code == ERR_DEADLINE_EXCEEDED:
-            self.stats.deadline_exceeded += 1
-        else:
-            self.stats.failures += 1
+    def _admission_class(self, spec, route):
+        """The class ``spec`` is admitted in on ``route``.
 
-    async def _handle_evaluate(self, spec, client_id):
-        """``(status, payload, extra_headers)`` for one evaluate spec."""
-        spec = dict(spec)
-        spec.setdefault("priority", "interactive")
+        A route with a default priority reads the spec's ``priority``
+        (filling in the default) and refuses a bad one, and refuses a
+        spec whose deadline budget is already spent.
+        """
+        if route.priority is None:
+            return "bulk"
+        spec.setdefault("priority", route.priority)
         try:
             label = priority_label(normalize_priority(spec["priority"]))
-        except ValueError as exc:
-            self.stats.bad_requests += 1
-            return 400, self._error_payload(ERR_BAD_REQUEST, str(exc)), []
-        try:
             deadline = spec_deadline(spec)
         except ValueError as exc:
-            self.stats.bad_requests += 1
-            return 400, self._error_payload(ERR_BAD_REQUEST, str(exc)), []
+            self.count_error(ERR_BAD_REQUEST)
+            raise GatewayError(ERR_BAD_REQUEST, str(exc)) from None
         if deadline is not None and deadline.expired:
             # spent budget is refused at the front door: no admission
             # slot, no dispatch, no queue time wasted on dead work
             self.stats.deadline_rejected += 1
-            wrapped = GatewayError(
+            raise GatewayError(
                 ERR_DEADLINE_EXCEEDED,
                 "deadline budget exhausted on arrival; never dispatched",
             )
-            return wrapped.status, self._error_body(wrapped), []
+        return label
+
+    @contextlib.contextmanager
+    def _admission(self, client_id, label):
+        """Hold one admission slot of class ``label`` for the block,
+        timing it into the class's histogram when the block succeeds."""
         try:
             self.admission.admit(client_id, label,
                                  retry_after=self._retry_after())
         except GatewayError as exc:
-            self._count_error(exc)
-            return (exc.status, self._error_body(exc),
-                    [("Retry-After", str(exc.retry_after))])
-        self.stats.requests += 1
+            self.count_error(exc.code)
+            raise
         started = time.monotonic()
         try:
-            request_id, future = await self._submit_spec(spec)
-            outcomes = await self._await_outcomes(future)
-        except RequestExecutionError as exc:
-            wrapped = GatewayError(exc.code, exc.message)
-            self._count_error(wrapped)
-            return wrapped.status, self._error_body(wrapped), []
+            yield
         finally:
             self.admission.release(client_id, label)
         self.histograms[label].observe(time.monotonic() - started)
-        return 200, {
-            "id": request_id,
-            "outcomes": [outcome_to_dict(o) for o in outcomes],
-        }, []
-
-    async def _handle_evolve(self, spec, client_id):
-        """Run the paper's evolution for one spec, in the bulk class."""
-        try:
-            self.admission.admit(client_id, "bulk",
-                                 retry_after=self._retry_after())
-        except GatewayError as exc:
-            self._count_error(exc)
-            return (exc.status, self._error_body(exc),
-                    [("Retry-After", str(exc.retry_after))])
-        self.stats.requests += 1
-        started = time.monotonic()
-        try:
-            loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(
-                self._evolve_executor, self._run_evolve, dict(spec)
-            )
-        except (ValueError, TypeError) as exc:
-            self.stats.bad_requests += 1
-            return 400, self._error_payload(ERR_BAD_REQUEST, str(exc)), []
-        except Exception as exc:   # the evolution itself failed
-            self.stats.failures += 1
-            return 500, self._error_payload(ERR_EVALUATION_FAILED,
-                                            repr(exc)), []
-        finally:
-            self.admission.release(client_id, "bulk")
-        self.histograms["bulk"].observe(time.monotonic() - started)
-        self.stats.evolve_runs += 1
-        return 200, result, []
-
-    def _run_evolve(self, spec):
-        from repro import api
-
-        request_id = spec.pop("id", None)
-        spec.pop("priority", None)
-        allowed = {
-            "grid", "size", "agents", "fields", "seed", "n_generations",
-            "pool_size", "exchange_width", "n_states", "t_max", "backend",
-        }
-        unknown = set(spec) - allowed
-        if unknown:
-            raise ValueError(f"unknown evolve fields {sorted(unknown)}")
-        result = api.evolve(cache=self.service.cache, **spec)
-        best = result.best
-        return {
-            "id": request_id,
-            "best": {
-                "genome": best.fsm.genome().tolist(),
-                "fitness": best.fitness,
-                "completely_successful": best.outcome.completely_successful,
-            },
-            "generations": len(result.history),
-            "wall_seconds": result.wall_seconds,
-        }
 
     # -- WebSocket streaming ------------------------------------------------
 
-    async def _handle_stream(self, headers, reader, writer, client_id):
+    async def _handle_stream(self, headers, reader, writer, client_id,
+                             route):
         key = headers.get("sec-websocket-key")
         if not key:
-            await self._send_response(
-                writer, 400,
-                self._error_payload(ERR_BAD_REQUEST,
-                                    "missing Sec-WebSocket-Key"),
+            await self._send_error(
+                writer,
+                GatewayError(ERR_BAD_REQUEST, "missing Sec-WebSocket-Key"),
                 keep_alive=False,
             )
             return
@@ -866,7 +697,7 @@ class GatewayServer(BaseAsyncServer):
                 continue
             if opcode == _WS_PONG:
                 continue
-            await self._stream_one(payload, writer, client_id)
+            await self._stream_one(payload, writer, client_id, route)
         # the gateway is draining: close the stream as "going away"
         with contextlib.suppress(ConnectionError, OSError):
             writer.write(ws_encode_frame(_WS_GOING_AWAY, _WS_CLOSE))
@@ -877,83 +708,85 @@ class GatewayServer(BaseAsyncServer):
                                                 separators=(",", ":"))))
         await writer.drain()
 
-    async def _stream_one(self, payload, writer, client_id):
-        """Answer one stream message: shard, submit all, stream results.
+    async def _stream_one(self, payload, writer, client_id, route):
+        """Answer one stream message: one ``evaluate`` call per FSM.
 
-        A multi-FSM campaign spec is split into per-FSM submissions --
-        all enqueued before the first await, so the dispatcher can
-        coalesce them -- and one ``{"id", "seq", "outcome"}`` message
-        streams back per FSM, in submission order, followed by a
-        ``{"id", "done": true}`` terminator.
+        A multi-FSM campaign spec is split into per-FSM ``evaluate``
+        calls, all started before the first result is awaited, so the
+        dispatcher can coalesce them, under one admission slot.  One
+        ``{"id", "seq", "outcome"}`` message streams back per FSM, in
+        submission order, followed by a ``{"id", "done": true}``
+        terminator -- or the first failing FSM's error.
         """
         try:
             spec = json.loads(payload)
             if not isinstance(spec, dict):
                 raise ValueError("stream message must be a JSON object")
         except (ValueError, UnicodeDecodeError) as exc:
-            self.stats.bad_requests += 1
-            await self._ws_send_json(writer, self._error_payload(
+            self.count_error(ERR_BAD_REQUEST)
+            await self._ws_send_json(writer, _error_payload(
                 ERR_BAD_REQUEST, f"invalid stream message: {exc}"
             ))
             return
-        spec = dict(spec)
         request_id = spec.get("id")
-        spec.setdefault("priority", "bulk")
-        try:
-            label = priority_label(normalize_priority(spec["priority"]))
-        except ValueError as exc:
-            self.stats.bad_requests += 1
-            await self._ws_send_json(writer, {
-                "id": request_id,
-                **self._error_payload(ERR_BAD_REQUEST, str(exc)),
-            })
-            return
         fsm_spec = spec.get("fsm", "published")
-        shards = [
-            {**spec, "fsm": one}
-            for one in (
-                fsm_spec if isinstance(fsm_spec, list) else [fsm_spec]
-            )
-        ]
+        fsms = fsm_spec if isinstance(fsm_spec, list) else [fsm_spec]
         try:
-            self.admission.admit(client_id, label,
-                                 retry_after=self._retry_after())
-        except GatewayError as exc:
-            self._count_error(exc)
-            await self._ws_send_json(writer, {
-                "id": request_id, **self._error_body(exc),
-                "retry_after": exc.retry_after,
-            })
-            return
-        self.stats.requests += 1
-        started = time.monotonic()
-        try:
-            futures = []
-            for shard in shards:
-                _, future = await self._submit_spec(shard)
-                futures.append(future)
-            for seq, future in enumerate(futures):
-                outcomes = await self._await_outcomes(future)
-                await self._ws_send_json(writer, {
-                    "id": request_id,
-                    "seq": seq,
-                    "outcome": outcome_to_dict(outcomes[0]),
-                })
-                self.stats.ws_messages += 1
+            with self._admission(client_id,
+                                 self._admission_class(spec, route)):
+                calls = [
+                    asyncio.ensure_future(
+                        self.run_op("evaluate", {**spec, "fsm": one})
+                    )
+                    for one in fsms
+                ]
+                try:
+                    for seq, call in enumerate(calls):
+                        shard = await call
+                        await self._ws_send_json(writer, {
+                            "id": request_id,
+                            "seq": seq,
+                            "outcome": shard["outcomes"][0],
+                        })
+                        self.stats.ws_messages += 1
+                finally:   # after a failure the later FSMs still finish
+                    for call in calls:
+                        call.add_done_callback(_retrieve)
         except RequestExecutionError as exc:
-            wrapped = GatewayError(exc.code, exc.message)
-            self._count_error(wrapped)
-            await self._ws_send_json(writer, {
-                "id": request_id, **self._error_body(wrapped),
-            })
+            message = {"id": request_id,
+                       **_error_payload(exc.code, exc.message)}
+            if getattr(exc, "retry_after", None) is not None:
+                message["retry_after"] = exc.retry_after
+            await self._ws_send_json(writer, message)
             return
-        finally:
-            self.admission.release(client_id, label)
-        self.histograms[label].observe(time.monotonic() - started)
         await self._ws_send_json(writer, {
-            "id": request_id, "done": True, "n": len(shards),
+            "id": request_id, "done": True, "n": len(fsms),
         })
         self.stats.ws_messages += 1
+
+
+class MetricsSidecar(GatewayServer):
+    """The ``--metrics`` listener: ``GET /v1/health`` and ``GET /metrics``.
+
+    Its ``metrics`` op exports the serving ``listener``'s snapshot and
+    latency histograms -- ``repro_transport_*`` beside ``--tcp``,
+    ``repro_gateway_*`` beside ``--http`` -- rather than its own
+    scrapes; with no listener it exports itself.  Every other path is a
+    404.
+    """
+
+    OPS = frozenset({"health", "metrics"})
+    NOT_SERVED = "metrics-only listener: use the serving transport"
+
+    def __init__(self, service, **kwargs):
+        super().__init__(service, **kwargs)
+        if self.listener is not None:
+            self.histograms = self.listener.histograms
+
+    def snapshot(self):
+        if self.listener is None:
+            return super().snapshot()
+        return self.listener.snapshot()
 
 
 class HTTPServiceClient:

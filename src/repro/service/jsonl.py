@@ -20,17 +20,15 @@ Grids and suites are built once per workload by :func:`paper_workload`
 and shared, so a burst of lines naming the same workload coalesces into
 one batch in the service.
 
-Two serving-robustness hooks also live here, shared by the stdio loop
-and the TCP transport:
-
-* an optional ``"idem"`` field names a request's **idempotency key**:
-  resubmitting the same key (a client retrying after a dropped
-  connection) attaches to the first submission's future instead of
-  enqueueing the work again, so a retried evaluation is never simulated
-  twice even before the evaluation cache is consulted;
-* control lines ``{"op": "ping"|"stats"|"health"}`` are answered by
-  :meth:`ServeSession.handle_op` without touching the queue -- a wedged
-  dispatcher cannot stop ``health`` from reporting exactly that.
+:class:`ServeSession` is the session under every front end: the stdio
+loop here and the op table the TCP and HTTP servers share
+(:class:`repro.service.transport.BaseAsyncServer`).  An optional
+``"idem"`` field names a request's **idempotency key**: resubmitting the
+key (a client retrying after a dropped connection) attaches to the first
+submission instead of enqueueing the work again.  The stdio loop answers
+control lines (``{"op": "ping"|"stats"|"health"|...}``) through
+:meth:`ServeSession.handle_op`, without touching the queue, so a wedged
+dispatcher cannot stop ``health`` from reporting exactly that.
 """
 
 import functools
@@ -457,6 +455,23 @@ class ServeSession:
             payload["replication"] = self.replicator.summary()
         return payload
 
+    def replicate(self, spec):
+        """Apply a peer's pushed records (write fanout, hint drain, read
+        repair) to the local cache, never journaled or fanned out
+        again; the count applied."""
+        return self._replicator().apply(
+            spec.get("records") or [], source=spec.get("from")
+        )
+
+    def sync(self, spec):
+        """The records of the digest buckets a peer pulls (anti-entropy)."""
+        return self._replicator().sync_payload(spec.get("buckets"))
+
+    def _replicator(self):
+        if self.replicator is None:
+            raise ValueError("replication not enabled on this node")
+        return self.replicator
+
     def handle_op(self, spec):
         """Answer a control line, or ``None`` for evaluation requests.
 
@@ -480,20 +495,9 @@ class ServeSession:
             return {**base, "ok": True,
                     "cancelled": self.cancel_idem(spec.get("idem"))}
         if op == "replicate":
-            # inbound write fanout from a peer: apply to the local
-            # cache (idempotent; never journaled, never re-fanned)
-            if self.replicator is None:
-                raise ValueError("replication not enabled on this node")
-            applied = self.replicator.apply(
-                spec.get("records") or [], source=spec.get("from")
-            )
-            return {**base, "ok": True, "applied": applied}
+            return {**base, "ok": True, "applied": self.replicate(spec)}
         if op == "sync":
-            # anti-entropy pull: stream the requested digest buckets
-            if self.replicator is None:
-                raise ValueError("replication not enabled on this node")
-            records = self.replicator.sync_payload(spec.get("buckets"))
-            return {**base, "ok": True, "records": records}
+            return {**base, "ok": True, "records": self.sync(spec)}
         raise ValueError(f"unknown op {op!r}")
 
 

@@ -1,31 +1,25 @@
-"""Async TCP transport for the evaluation service.
+"""Async TCP transport for the evaluation service, and the serving core
+every front end shares.
 
 ``repro-a2a serve --tcp HOST:PORT`` fronts one
 :class:`repro.service.EvaluationService` with an asyncio server so many
 concurrent clients share a single dispatcher, worker pool and cache.
-The wire protocol is length-prefixed JSON: every message is a 4-byte
-big-endian byte count followed by one UTF-8 JSON object -- the same
-request/response vocabulary as the stdin JSONL mode (see
-:mod:`repro.service.jsonl`), plus three control ops (``ping``,
-``stats``, ``shutdown``) and structured error frames::
+Every message is a 4-byte big-endian byte count followed by one UTF-8
+JSON object.  A frame names an op of the op table on
+:class:`BaseAsyncServer` -- no ``op`` means ``evaluate``, the stdin
+JSONL vocabulary of :mod:`repro.service.jsonl` -- and errors come back
+as frames like::
 
     {"id": "r1", "error": {"code": "timeout", "message": "..."}}
 
-Flow control is deliberate, not emergent:
-
-* **backpressure** -- each connection holds at most ``max_pending``
-  requests in flight; the server stops *reading* the socket when the
-  budget is spent, so TCP flow control backs the client up, and reading
-  resumes as responses drain;
-* **timeouts** -- a request that exceeds ``request_timeout`` is
-  cancelled; if it is still queued in the dispatcher the cancellation
-  reaches it and no simulation ever runs for it;
-* **disconnects** -- a client that vanishes mid-request gets its
-  in-flight work cancelled without disturbing other connections;
-* **idle reaping** -- connections with no traffic and no in-flight work
-  for ``idle_timeout`` seconds are closed;
-* **graceful shutdown** -- :meth:`AsyncEvaluationServer.aclose` stops
-  accepting, stops reading, drains every in-flight request, then closes.
+Flow control is deliberate: a connection holds at most ``max_pending``
+requests in flight and stops *reading* when that budget is spent
+(backpressure); a request past ``request_timeout`` is cancelled, before
+it is ever simulated if still queued; a vanished client's in-flight
+work is cancelled; quiet connections are reaped after ``idle_timeout``;
+:meth:`BaseAsyncServer.aclose` stops accepting and reading, drains every
+in-flight request, then closes.  See "Request pipeline" in
+``docs/GATEWAY.md``.
 """
 
 import asyncio
@@ -50,6 +44,7 @@ from repro.resilience.faults import (
     maybe_fault,
 )
 from repro.service.jsonl import ServeSession, outcome_from_dict, outcome_to_dict
+from repro.service.metrics import render_metrics
 from repro.service.service import ServiceError
 
 #: Frame header: one unsigned 32-bit big-endian body byte count.
@@ -66,6 +61,7 @@ ERR_TIMEOUT = "timeout"                 # exceeded request_timeout
 ERR_EVALUATION_FAILED = "evaluation_failed"  # the simulation itself failed
 ERR_DEADLINE_EXCEEDED = "deadline_exceeded"  # end-to-end budget ran out
 ERR_CANCELLED = "cancelled"             # cancelled via the cancel op
+ERR_OVERLOADED = "overloaded"           # refused at HTTP/WS admission
 
 
 class FrameError(ValueError):
@@ -200,16 +196,16 @@ class _Connection:
         self.sem = asyncio.Semaphore(max_pending)
         self.write_lock = asyncio.Lock()
         self.tasks = set()
-        self.handler = None
         self.closing = False
 
 
 class RequestExecutionError(Exception):
-    """One submission failed with a protocol error code.
+    """One op failed with a protocol error code.
 
-    The shared serving core raises this; each front end (framed TCP,
-    HTTP gateway) turns it into its own wire shape -- an error frame or
-    an HTTP status -- without re-deriving the code taxonomy.
+    Op bodies raise this; each front end (framed TCP, HTTP gateway,
+    WebSocket stream) turns it into its own wire shape -- an error
+    frame, an HTTP status, a stream message -- without re-deriving the
+    code taxonomy.
     """
 
     def __init__(self, code, message):
@@ -218,45 +214,93 @@ class RequestExecutionError(Exception):
         self.message = message
 
 
+#: Ops that do the paper's work -- simulate a suite, run the GA -- as
+#: opposed to control ops.  A work op's error bumps the counter its
+#: code names in :data:`ERROR_COUNTERS`, and only a work op's answer is
+#: a TCP ``responses`` count; a refused control op is just an error.
+WORK_OPS = frozenset({"evaluate", "evolve"})
+
+#: The counter each error code bumps, on whichever front end saw it.
+#: Any other code -- or a counter the front end does not keep -- bumps
+#: ``failures``.
+ERROR_COUNTERS = {
+    ERR_BAD_REQUEST: "bad_requests",
+    ERR_TIMEOUT: "timeouts",
+    ERR_DEADLINE_EXCEEDED: "deadline_exceeded",
+    ERR_CANCELLED: "cancelled_requests",
+    ERR_OVERLOADED: "overloaded",
+}
+
+
 class BaseAsyncServer:
     """The serving core shared by every asyncio front end.
 
-    Owns the pieces that are protocol-independent: the
-    :class:`ServeSession` (spec decoding, idempotency, journal), the
-    single decode worker thread, the closing / stop-reading / shutdown
-    events, and the submit-await-timeout path that turns one decoded
-    spec into outcomes or a :class:`RequestExecutionError`.  The framed
-    TCP server (:class:`AsyncEvaluationServer`) and the HTTP gateway
-    (:class:`repro.service.gateway.GatewayServer`) both subclass this,
-    so drain and timeout semantics cannot drift between transports.
+    Owns what is protocol-independent: the :class:`ServeSession` (spec
+    decoding, idempotency, journal), the decode and evolve worker
+    threads, the listener and its connection handlers, the closing /
+    stop-reading / shutdown events, and the **op table**.  Each entry of
+    :attr:`OP_TABLE` takes a decoded spec and returns a payload dict or
+    raises :class:`RequestExecutionError`; every op body exists once,
+    here.  A front end is framing, auth and admission around
+    :meth:`run_op`, and serves the ops its class lists in :attr:`OPS`.
+    The framed TCP server (:class:`AsyncEvaluationServer`) and the HTTP
+    gateway (:class:`repro.service.gateway.GatewayServer`) subclass
+    this, so op semantics, drain and timeouts cannot drift between
+    transports.  See "Request pipeline" in ``docs/GATEWAY.md``.
     """
+
+    #: The ops this front end serves; any other is answered as unknown.
+    OPS = frozenset()
+    #: The listener's TLS context (the gateway's ``tls=``).
+    tls = None
+    #: A ``ClusterMembership`` whose view the ``health`` op exchanges.
+    membership = None
 
     def __init__(self, service, request_timeout=None, journal=None,
                  name="transport"):
         self.service = service
         self.session = ServeSession(service, journal=journal)
         self.request_timeout = request_timeout
+        #: admission class -> LatencyHistogram the ``metrics`` op exports
+        self.histograms = {}
+        self._owns_session = True   # replays the journal at start
         self._closing = False
         self._stop_reading = asyncio.Event()
         self._shutdown_requested = asyncio.Event()
+        self._server = None
+        self._handlers = set()
         # spec decoding builds grids/suites (CPU work with a shared
         # cache): one worker thread keeps it off the event loop *and*
-        # serialised.
+        # serialised.  Evolution runs get their own thread.
         self._decode_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"{name}-decode"
         )
+        self._evolve_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"{name}-evolve"
+        )
 
-    async def _replay_journal(self):
-        """Replay the journal's uncommitted suffix before accepting.
+    @property
+    def address(self):
+        """``(host, port)`` actually bound (resolves ``port=0``)."""
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def start(self):
+        """Replay the journal's uncommitted suffix, then listen.
 
         Clients reconnecting with their original idempotency keys then
-        attach to the replayed futures instead of re-enqueueing.
+        attach to the replayed futures instead of re-enqueueing.  A
+        front end sharing another listener's session leaves the replay
+        to that session's owner.
         """
-        if self.session.journal is not None:
+        if self._owns_session and self.session.journal is not None:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(
                 self._decode_executor, self.session.replay_journal
             )
+        self._server = await asyncio.start_server(
+            self._serve_connection, self.host, self.port, ssl=self.tls
+        )
+        return self
 
     async def serve_until_shutdown(self):
         """Serve until shutdown is requested, then drain and close."""
@@ -267,11 +311,30 @@ class BaseAsyncServer:
         """Flag graceful shutdown (safe to call from the event loop)."""
         self._shutdown_requested.set()
 
-    async def aclose(self):   # front ends override with their drain
+    async def aclose(self):
+        """Graceful shutdown: stop accepting and reading, let every
+        connection drain its in-flight requests, then close."""
         self._closing = True
         self._stop_reading.set()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        if self._handlers:
+            await asyncio.gather(*list(self._handlers),
+                                 return_exceptions=True)
         self._decode_executor.shutdown(wait=False)
+        self._evolve_executor.shutdown(wait=False)
         self._shutdown_requested.set()
+
+    async def _serve_connection(self, reader, writer):
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        self.stats.connections_opened += 1
+        try:
+            await self._handle_connection(reader, writer)
+        finally:
+            self._handlers.discard(handler)
+            self.stats.connections_closed += 1
 
     async def _read_or_stop(self, read, timeout=None):
         """The result of the coroutine ``read``, unless the drain signal
@@ -300,23 +363,132 @@ class BaseAsyncServer:
                     with contextlib.suppress(asyncio.CancelledError):
                         await waiter
 
+    # -- the op table -------------------------------------------------------
+
+    async def run_op(self, op, spec):
+        """The payload of ``op`` (one this front end serves) for ``spec``.
+
+        Raises :class:`RequestExecutionError`: a body's ``ValueError``,
+        ``KeyError`` or ``TypeError`` is the spec's fault, a
+        ``bad_request``.  A work op's error first bumps its counter.
+        """
+        try:
+            try:
+                return await self.OP_TABLE[op](self, spec)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise RequestExecutionError(ERR_BAD_REQUEST, str(exc)) from exc
+        except RequestExecutionError as exc:
+            if op in WORK_OPS:
+                self.count_error(exc.code)
+            raise
+
+    def count_error(self, code):
+        """Bump the counter :data:`ERROR_COUNTERS` names for ``code``."""
+        name = ERROR_COUNTERS.get(code, "failures")
+        if not hasattr(self.stats, name):
+            name = "failures"
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+
+    def encode_outcomes(self, outcomes):
+        """The wire form of ``outcomes``.  Each front-end module encodes
+        through its own ``outcome_to_dict`` binding, the one its
+        transport's codec spans are recorded on."""
+        return [outcome_to_dict(outcome) for outcome in outcomes]
+
+    async def _ping(self, spec):
+        return {"pong": True}
+
+    async def _stats(self, spec):
+        return {"stats": self.snapshot()}
+
+    async def _shutdown(self, spec):
+        self.request_shutdown()   # the drain waits for this answer
+        return {"ok": True}
+
+    async def _health(self, spec):
+        health = self.session.health()
+        health.update(self.counters())
+        if self.membership is not None:
+            # push-pull gossip: merge the caller's view (None for plain
+            # clients) and answer with ours -- unless the sender is
+            # partitioned away: then nothing is merged or revealed
+            view = self.membership.exchange(spec.get("gossip"))
+            if view is not None:
+                health["membership"] = view
+        return {"health": health}
+
+    async def _partition(self, spec):
+        if self.membership is None:
+            raise ValueError("partition op requires cluster membership")
+        self.membership.set_blocked(spec.get("block") or [])
+        return {"ok": True, "blocked": sorted(self.membership.blocked)}
+
+    async def _cancel(self, spec):
+        # best-effort cancellation by idempotency key: a hedging router
+        # reaps the losing attempt so a slow node never simulates work
+        # whose answer already shipped elsewhere
+        self.stats.cancels += 1
+        return {"ok": True,
+                "cancelled": self.session.cancel_idem(spec.get("idem"))}
+
+    async def _replicate(self, spec):
+        applied = self.session.replicate(spec)
+        self.stats.replicate_ops += 1
+        return {"ok": True, "applied": applied}
+
+    async def _sync(self, spec):
+        records = self.session.sync(spec)
+        self.stats.sync_ops += 1
+        return {"ok": True, "records": records}
+
+    async def _evaluate(self, spec):
+        request_id, future = await self._submit_spec(spec)
+        self.stats.requests += 1
+        outcomes = await self._await_outcomes(future)
+        return {"id": request_id, "outcomes": self.encode_outcomes(outcomes)}
+
+    async def _evolve(self, spec):
+        self.stats.requests += 1
+        loop = asyncio.get_running_loop()
+        try:
+            result = await loop.run_in_executor(
+                self._evolve_executor, self._run_evolve, dict(spec)
+            )
+        except (ValueError, TypeError):
+            raise   # the spec's fault: run_op answers bad_request
+        except Exception as exc:   # the evolution itself failed
+            raise RequestExecutionError(
+                ERR_EVALUATION_FAILED, repr(exc)
+            ) from exc
+        self.stats.evolve_runs += 1
+        return result
+
+    async def _metrics(self, spec):
+        return {"metrics": render_metrics(self.snapshot(), self.histograms)}
+
+    #: op name -> body; ``await body(server, spec)`` is the payload.
+    OP_TABLE = {
+        "ping": _ping, "stats": _stats, "shutdown": _shutdown,
+        "health": _health, "partition": _partition, "cancel": _cancel,
+        "replicate": _replicate, "sync": _sync, "evaluate": _evaluate,
+        "evolve": _evolve, "metrics": _metrics,
+    }
+
+    # -- the evaluate and evolve bodies' steps --------------------------------
+
     async def _submit_spec(self, spec):
         """Decode + enqueue one spec off-loop; ``(request_id, future)``.
 
-        Raises :class:`RequestExecutionError` with ``bad_request`` for
-        an invalid spec and ``shutting_down`` once draining has begun.
+        Refuses with ``shutting_down`` once draining has begun.
         """
         if self._closing:
             raise RequestExecutionError(
                 ERR_SHUTTING_DOWN, "server is shutting down"
             )
         loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(
-                self._decode_executor, self.session.submit_spec, spec
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise RequestExecutionError(ERR_BAD_REQUEST, str(exc)) from exc
+        return await loop.run_in_executor(
+            self._decode_executor, self.session.submit_spec, spec
+        )
 
     async def _await_outcomes(self, future):
         """Outcomes of one submission, under ``request_timeout``.
@@ -355,6 +527,31 @@ class BaseAsyncServer:
                 ERR_EVALUATION_FAILED, str(exc)
             ) from exc
 
+    def _run_evolve(self, spec):
+        from repro import api
+
+        request_id = spec.pop("id", None)
+        spec.pop("priority", None)
+        allowed = {
+            "grid", "size", "agents", "fields", "seed", "n_generations",
+            "pool_size", "exchange_width", "n_states", "t_max", "backend",
+        }
+        unknown = set(spec) - allowed
+        if unknown:
+            raise ValueError(f"unknown evolve fields {sorted(unknown)}")
+        result = api.evolve(cache=self.service.cache, **spec)
+        best = result.best
+        return {
+            "id": request_id,
+            "best": {
+                "genome": best.fsm.genome().tolist(),
+                "fitness": best.fitness,
+                "completely_successful": best.outcome.completely_successful,
+            },
+            "generations": len(result.history),
+            "wall_seconds": result.wall_seconds,
+        }
+
 
 class AsyncEvaluationServer(BaseAsyncServer):
     """The asyncio TCP front of one :class:`EvaluationService`.
@@ -363,7 +560,14 @@ class AsyncEvaluationServer(BaseAsyncServer):
     :attr:`address` after :meth:`start`.  The server shares one
     :class:`ServeSession` across connections, so identical workloads
     from different clients coalesce into the same dispatcher batches.
+    A frame names its op in ``"op"`` (none: ``evaluate``) and is
+    answered with the op's payload under the frame's ``id``.
     """
+
+    OPS = frozenset({
+        "ping", "stats", "health", "partition", "cancel", "replicate",
+        "sync", "shutdown", "evaluate",
+    })
 
     def __init__(self, service, host="127.0.0.1", port=0, max_pending=32,
                  request_timeout=None, idle_timeout=None, journal=None,
@@ -380,36 +584,10 @@ class AsyncEvaluationServer(BaseAsyncServer):
         self.max_pending = max_pending
         self.idle_timeout = idle_timeout
         self.stats = TransportStats()
-        self._server = None
-        self._connections = set()
 
-    @property
-    def address(self):
-        """``(host, port)`` actually bound (resolves ``port=0``)."""
-        return self._server.sockets[0].getsockname()[:2]
-
-    async def start(self):
-        await self._replay_journal()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        return self
-
-    async def aclose(self):
-        """Graceful shutdown: stop accepting/reading, drain, close."""
-        self._closing = True
-        self._stop_reading.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        handlers = [
-            conn.handler for conn in list(self._connections)
-            if conn.handler is not None
-        ]
-        if handlers:   # each handler drains its own in-flight requests
-            await asyncio.gather(*handlers, return_exceptions=True)
-        self._decode_executor.shutdown(wait=False)
-        self._shutdown_requested.set()
+    def counters(self):
+        """This front end's own counters, as ``health`` shows them."""
+        return {"transport": self.stats.snapshot()}
 
     def snapshot(self):
         """Transport counters plus the session's service snapshot.
@@ -418,16 +596,10 @@ class AsyncEvaluationServer(BaseAsyncServer):
         journal counters, so the ``stats`` op alone is enough for a
         monitor (or a test) to assert on recovery behaviour.
         """
-        return {
-            "transport": self.stats.snapshot(),
-            "service": self.session.stats(),
-        }
+        return {**self.counters(), "service": self.session.stats()}
 
     async def _handle_connection(self, reader, writer):
         conn = _Connection(reader, writer, self.max_pending)
-        conn.handler = asyncio.current_task()
-        self._connections.add(conn)
-        self.stats.connections_opened += 1
         peer_gone = False
         try:
             while not (conn.closing or self._closing):
@@ -473,7 +645,7 @@ class AsyncEvaluationServer(BaseAsyncServer):
                         f"frame body is not a JSON object: {exc}",
                     )
                     continue
-                task = asyncio.ensure_future(self._handle_request(conn, spec))
+                task = asyncio.ensure_future(self._answer(conn, spec))
                 conn.tasks.add(task)
                 task.add_done_callback(
                     lambda done, conn=conn: (
@@ -495,8 +667,6 @@ class AsyncEvaluationServer(BaseAsyncServer):
                     await writer.wait_closed()
                 finally:
                     _force_eof(eof_guard)
-            self._connections.discard(conn)
-            self.stats.connections_closed += 1
 
     async def _read_next(self, conn):
         """The next frame body, honouring shutdown and the idle reaper."""
@@ -507,123 +677,26 @@ class AsyncEvaluationServer(BaseAsyncServer):
         )
         return await self._read_or_stop(read_frame(conn.reader), idle)
 
-    async def _handle_request(self, conn, spec):
+    async def _answer(self, conn, spec):
+        """Answer one frame with its op's payload or an error frame."""
         request_id = spec.get("id")
         op = spec.get("op")
+        op = "evaluate" if op is None else op
         try:
-            if op == "ping":
-                await self._send(conn, {"id": request_id, "pong": True})
-                return
-            if op == "stats":
-                await self._send(
-                    conn, {"id": request_id, "stats": self.snapshot()}
-                )
-                return
-            if op == "health":
-                health = self.session.health()
-                health["transport"] = self.stats.snapshot()
-                if self.membership is not None:
-                    # push-pull gossip: merge the caller's view (if any;
-                    # None for plain clients) and answer with ours --
-                    # unless the sender is partitioned away, in which
-                    # case nothing is merged and nothing is revealed
-                    view = self.membership.exchange(spec.get("gossip"))
-                    if view is not None:
-                        health["membership"] = view
-                await self._send(
-                    conn, {"id": request_id, "health": health}
-                )
-                return
-            if op == "partition":
-                if self.membership is None:
-                    await self._send_error(
-                        conn, request_id, ERR_BAD_REQUEST,
-                        "partition op requires cluster membership",
-                    )
-                    return
-                self.membership.set_blocked(spec.get("block") or [])
-                await self._send(conn, {
-                    "id": request_id, "ok": True,
-                    "blocked": sorted(self.membership.blocked),
-                })
-                return
-            if op == "cancel":
-                # best-effort cancellation by idempotency key: a hedging
-                # router reaps the losing attempt so a slow node never
-                # simulates work whose answer already shipped elsewhere
-                self.stats.cancels += 1
-                cancelled = self.session.cancel_idem(spec.get("idem"))
-                await self._send(conn, {
-                    "id": request_id, "ok": True, "cancelled": cancelled,
-                })
-                return
-            if op in ("replicate", "sync"):
-                # replication data plane: a peer pushing committed
-                # records (write fanout / hint drain / read repair) or
-                # pulling divergent digest buckets (anti-entropy).
-                # Both apply through the session's replicator -- never
-                # journaled, never re-fanned from here.
-                replicator = getattr(self.session, "replicator", None)
-                if replicator is None:
-                    await self._send_error(
-                        conn, request_id, ERR_BAD_REQUEST,
-                        "replication not enabled on this node",
-                    )
-                    return
-                if op == "replicate":
-                    self.stats.replicate_ops += 1
-                    applied = replicator.apply(
-                        spec.get("records") or [], source=spec.get("from")
-                    )
-                    await self._send(conn, {
-                        "id": request_id, "ok": True, "applied": applied,
-                    })
-                else:
-                    self.stats.sync_ops += 1
-                    records = replicator.sync_payload(spec.get("buckets"))
-                    await self._send(conn, {
-                        "id": request_id, "ok": True, "records": records,
-                    })
-                return
-            if op == "shutdown":
-                await self._send(conn, {"id": request_id, "ok": True})
-                self.request_shutdown()
-                return
-            if op is not None:
-                await self._send_error(
-                    conn, request_id, ERR_BAD_REQUEST, f"unknown op {op!r}"
-                )
-                return
             try:
-                request_id, future = await self._submit_spec(spec)
+                if not isinstance(op, str) or op not in self.OPS:
+                    raise RequestExecutionError(
+                        ERR_BAD_REQUEST, f"unknown op {op!r}"
+                    )
+                payload = await self.run_op(op, spec)
             except RequestExecutionError as exc:
-                if exc.code == ERR_BAD_REQUEST:
-                    self.stats.bad_requests += 1
                 await self._send_error(
                     conn, request_id, exc.code, exc.message
                 )
                 return
-            self.stats.requests += 1
-            try:
-                outcomes = await self._await_outcomes(future)
-            except RequestExecutionError as exc:
-                if exc.code == ERR_TIMEOUT:
-                    self.stats.timeouts += 1
-                elif exc.code == ERR_DEADLINE_EXCEEDED:
-                    self.stats.deadline_exceeded += 1
-                elif exc.code == ERR_CANCELLED:
-                    self.stats.cancelled_requests += 1
-                else:
-                    self.stats.failures += 1
-                await self._send_error(
-                    conn, request_id, exc.code, exc.message
-                )
-                return
-            await self._send(conn, {
-                "id": request_id,
-                "outcomes": [outcome_to_dict(o) for o in outcomes],
-            })
-            self.stats.responses += 1
+            await self._send(conn, {"id": request_id, **payload})
+            if op in WORK_OPS:
+                self.stats.responses += 1
         except asyncio.CancelledError:
             raise   # disconnect reaping; wrap_future propagates the cancel
         except (ConnectionError, OSError):

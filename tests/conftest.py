@@ -114,8 +114,9 @@ class GatewayInThread:
     bound; exit requests graceful shutdown (draining in-flight work),
     joins the thread and asserts that it ended.  ``kwargs`` pass through
     to :class:`GatewayServer` (``auth_token=``, ``max_inflight=``,
-    ``bulk_fraction=``, ...); :attr:`gateway` exposes the live server
-    for counter assertions.
+    ``bulk_fraction=``, ...); ``metrics_only=True`` builds the
+    ``--metrics`` sidecar (:class:`MetricsSidecar`) instead.
+    :attr:`gateway` exposes the live server for counter assertions.
     """
 
     def __init__(self, service, **kwargs):
@@ -130,9 +131,14 @@ class GatewayInThread:
         )
 
     async def _serve(self):
-        from repro.service.gateway import GatewayServer
+        from repro.service.gateway import GatewayServer, MetricsSidecar
 
-        gateway = GatewayServer(self.service, **self.kwargs)
+        kwargs = dict(self.kwargs)
+        server_class = (
+            MetricsSidecar if kwargs.pop("metrics_only", False)
+            else GatewayServer
+        )
+        gateway = server_class(self.service, **kwargs)
         await gateway.start()
         self.gateway = gateway
         self.address = gateway.address
@@ -156,26 +162,30 @@ class GatewayInThread:
 
 
 class SpawnedServer:
-    """A real ``repro-a2a serve --tcp`` child process.
+    """A real ``repro-a2a serve`` child on ``transport`` (``--tcp`` or
+    ``--http``).
 
-    ``address`` is parsed from the child's ``listening on`` line.
-    :meth:`stop` (also run by the ``spawn_serve`` fixture's teardown)
-    sends the ``shutdown`` op so the server drains, then waits; a child
-    that will not die is killed.  ``stdout``/``stderr`` are drained at
-    teardown so a chatty child can never block on a full pipe.
+    ``address`` is parsed from the child's first line (``listening on``
+    or ``serving http on``); later listeners' lines stay on
+    ``proc.stdout``.  :meth:`stop` (also run by the ``spawn_serve``
+    fixture's teardown) drains the server -- the ``shutdown`` op over
+    TCP, SIGTERM over HTTP -- then waits; a child that will not die is
+    killed.  ``stdout``/``stderr`` are drained at teardown so a chatty
+    child can never block on a full pipe.
     """
 
-    def __init__(self, extra_args=(), env=None):
+    def __init__(self, extra_args=(), env=None, transport="--tcp"):
         from repro.service.transport import parse_address
 
+        self.transport = transport
         self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--tcp",
+            [sys.executable, "-m", "repro", "serve", transport,
              "127.0.0.1:0", "--workers", "1", *extra_args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env,
         )
         line = self.proc.stdout.readline().strip()
-        if not line.startswith("listening on "):
+        if not line.startswith(("listening on ", "serving http on ")):
             self.proc.kill()
             out, err = self.proc.communicate()
             raise RuntimeError(
@@ -188,7 +198,9 @@ class SpawnedServer:
     def stop(self, timeout=30):
         from repro.service.transport import TCPServiceClient
 
-        if self.proc.poll() is None:
+        if self.proc.poll() is None and self.transport == "--http":
+            self.proc.terminate()
+        elif self.proc.poll() is None:
             try:
                 with TCPServiceClient(self.address, timeout=10) as client:
                     client.shutdown()
@@ -206,12 +218,13 @@ class SpawnedServer:
 
 @pytest.fixture
 def spawn_serve():
-    """Factory fixture: spawn ``serve --tcp`` children, drained and
-    stopped on teardown even when the test fails."""
+    """Factory fixture: spawn ``serve`` children (``--tcp`` unless
+    ``transport=`` says otherwise), drained and stopped on teardown
+    even when the test fails."""
     spawned = []
 
-    def spawn(*extra_args, env=None):
-        server = SpawnedServer(extra_args, env=env)
+    def spawn(*extra_args, env=None, transport="--tcp"):
+        server = SpawnedServer(extra_args, env=env, transport=transport)
         spawned.append(server)
         return server
 

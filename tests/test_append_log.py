@@ -17,6 +17,7 @@ Then the start-up compactions (journal replay, first hint load) and
 their read-only fallback.
 """
 
+import errno
 import os
 import tempfile
 import threading
@@ -39,7 +40,7 @@ from repro.resilience.durability import (
 from repro.results import EvaluationResult
 from repro.service import EvaluationService
 from repro.service.cache_store import CacheStore, encode_record
-from repro.service.gateway import render_metrics
+from repro.service.metrics import render_metrics
 from repro.service.jsonl import ServeSession
 from repro.service.replication import (
     HintStore,
@@ -311,10 +312,69 @@ def test_torn_append_counts_and_skips_the_fsync(tmp_path):
     assert hints.log.timings()["append_fsync"]["count"] == 1
     assert [hint_id for hint_id, _, _ in hints.pending()] == [kept]
     hints.close()
-    # the torn half-line glued onto the next hint: the load drops both
+    # the next hint cut the torn half-line first: only the torn one is lost
     revived = HintStore(tmp_path / "h.jsonl")
-    assert torn != kept and revived.load() == {}
-    assert revived.dropped_bytes > 0
+    assert torn != kept and list(revived.load()) == [kept]
+    assert revived.dropped_bytes == 0
+
+
+@by_store
+@pytest.mark.parametrize("stop", ["short", "failed"])
+def test_a_write_stopped_mid_line_costs_at_most_its_own_record(
+    tmp_path, model, stop, monkeypatch
+):
+    """The first write lands only half the line; then the rest is
+    written (a short write) or the disk is full (a failed write).  The
+    next whole append cuts a failed write's fragment before writing, so
+    nothing fuses and the load drops nothing."""
+    path = tmp_path / "store.jsonl"
+    store = model.open(path)
+    kept = [model.append(store, 0)]
+    real_write, calls = os.write, []
+
+    def stop_mid_line(fd, data):
+        calls.append(data)
+        if len(calls) == 1:
+            return real_write(fd, data[: len(data) // 2])
+        if stop == "failed":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", stop_mid_line)
+    if stop == "short":
+        kept.append(model.append(store, 1))
+    else:
+        with pytest.raises(OSError):
+            model.append(store, 1)
+    monkeypatch.setattr(os, "write", real_write)
+    kept.append(model.append(store, 2))
+    store.close()
+    revived = model.open(path)
+    assert model.state(revived) == kept
+    assert revived.dropped_bytes == 0
+    revived.close()
+
+
+def test_a_fragment_another_writer_appended_after_is_not_cut(tmp_path):
+    from repro.resilience import FaultPlan, FaultSpec, faults_installed
+    from repro.resilience.faults import SITE_CACHE_APPEND, TORN_WRITE
+
+    path = tmp_path / "c.jsonl"
+    torn, other = CacheStore(path), CacheStore(path)
+    plan = FaultPlan([FaultSpec(SITE_CACHE_APPEND, TORN_WRITE, at=1)])
+    with faults_installed(plan):
+        torn.append(make_key(1), make_outcome(1))
+    fragment = path.read_bytes()
+    other.append(make_key(2), make_outcome(2))
+    torn.append(make_key(3), make_outcome(3))
+    # the other writer's record follows the fragment: cutting the tail
+    # would destroy it, so every byte stays
+    assert path.read_bytes() == fragment + b"".join(
+        (encode_record(make_key(i), make_outcome(i)) + "\n").encode()
+        for i in (2, 3)
+    )
+    for store in (torn, other):
+        store.close()
 
 
 def test_write_atomically_leaves_the_old_file_when_the_write_fails(tmp_path):

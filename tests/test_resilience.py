@@ -636,10 +636,11 @@ class TestTornCacheWrites:
                     store.append(key, outcome)
                 assert store.torn_writes == 1
             assert len(injector.fired) == 1
-        # the torn line glues onto the next append; recovery keeps the
-        # valid prefix -- exactly the first record
+        # the next append cuts the torn line first: recovery keeps
+        # every record but the torn one
         revived = CacheStore(path)
         records = revived.load()
-        assert [key for key, _ in records] == [keys[0]]
+        assert [key for key, _ in records] == [keys[0], keys[2]]
         assert records[0][1] == outcomes[0]
-        assert revived.dropped_bytes > 0
+        assert records[1][1] == outcomes[2]
+        assert revived.dropped_bytes == 0

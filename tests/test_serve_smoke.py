@@ -7,7 +7,11 @@
 * under a pinned fault plan (two worker kills, one dropped socket, one
   torn cache write) 50 hardened clients still get results bit-exact
   against a fault-free reference, every fault fires, and the torn cache
-  store reloads to its one whole record.
+  store reloads to its one whole record;
+* the ``--metrics`` sidecar beside ``--tcp`` exports the TCP listener's
+  counters;
+* ``serve --http --auth-token`` answers both priority classes and a
+  WebSocket campaign, and exits 0 after ``POST /v1/shutdown``.
 
 Run them with ``PYTHONPATH=src python -m pytest -m net tests/test_serve_smoke.py``.
 """
@@ -33,7 +37,10 @@ from repro.resilience.faults import (
 from repro.service import CacheStore, EvaluationService, TCPServiceClient
 from repro.service.client import ClientOptions
 from repro.service.jsonl import ServeSession, format_response
-from repro.service.transport import AsyncServiceClient
+from repro.service.gateway import HTTPServiceClient, ws_encode_frame
+from repro.service.transport import AsyncServiceClient, parse_address
+
+from tests.test_gateway import ws_connect, ws_recv
 
 pytestmark = pytest.mark.net
 
@@ -151,3 +158,40 @@ def test_fifty_clients_recover_bit_exactly_under_a_pinned_fault_plan(
     assert health["pool"]["crash_recoveries"] >= 1, health
     # the torn line is dropped on reload; the whole record survives
     assert len(CacheStore(cache_path).load()) == 1
+
+
+def test_metrics_sidecar_exports_the_tcp_listeners_counters(spawn_serve):
+    n_requests = 3
+    server = spawn_serve("--metrics", "127.0.0.1:0")
+    line = server.proc.stdout.readline().strip()
+    assert line.startswith("serving metrics on "), line
+    with TCPServiceClient(server.address) as client:
+        for seed in range(n_requests):
+            client.evaluate(**_WORKLOAD, seed=seed)
+    with HTTPServiceClient(parse_address(line.split()[-1])) as scrape:
+        lines = scrape.metrics().splitlines()
+    assert f"repro_transport_requests {n_requests}" in lines
+    assert f"repro_transport_responses {n_requests}" in lines
+    assert server.stop() == 0
+
+
+def test_http_serving_with_a_token_answers_and_drains(spawn_serve):
+    token = "ci-secret"
+    server = spawn_serve("--auth-token", token, transport="--http")
+    options = ClientOptions(auth_token=token, timeout=120)
+    with HTTPServiceClient(server.address, options=options) as client:
+        for priority in ("interactive", "bulk"):
+            outcomes = client.evaluate(**_WORKLOAD, priority=priority)
+            assert outcomes[0].completely_successful
+        sock, reader = ws_connect(server.address, token=token)
+        try:
+            campaign = {**_WORKLOAD,
+                        "fsm": ["published", "published", "evolved"]}
+            sock.sendall(ws_encode_frame(json.dumps(campaign), mask=True))
+            messages = [json.loads(ws_recv(reader)[1]) for _ in range(4)]
+        finally:
+            sock.close()
+        assert [message.get("seq") for message in messages[:3]] == [0, 1, 2]
+        assert messages[3] == {"id": None, "done": True, "n": 3}
+        assert client.shutdown() is True
+    assert server.proc.wait(timeout=60) == 0

@@ -326,12 +326,6 @@ def _error_payload(code, message):
     return {"error": {"code": code, "message": message}}
 
 
-def _retrieve(task):
-    """Mark a finished task's outcome retrieved (nobody awaits it)."""
-    if not task.cancelled():
-        task.exception()
-
-
 class GatewayServer(BaseAsyncServer):
     """The HTTP/1.1 + WebSocket front of one :class:`EvaluationService`.
 
@@ -716,7 +710,8 @@ class GatewayServer(BaseAsyncServer):
         dispatcher can coalesce them, under one admission slot.  One
         ``{"id", "seq", "outcome"}`` message streams back per FSM, in
         submission order, followed by a ``{"id", "done": true}``
-        terminator -- or the first failing FSM's error.
+        terminator -- or, once every FSM has finished, the first
+        failing FSM's error.
         """
         try:
             spec = json.loads(payload)
@@ -750,8 +745,7 @@ class GatewayServer(BaseAsyncServer):
                         })
                         self.stats.ws_messages += 1
                 finally:   # after a failure the later FSMs still finish
-                    for call in calls:
-                        call.add_done_callback(_retrieve)
+                    await asyncio.gather(*calls, return_exceptions=True)
         except RequestExecutionError as exc:
             message = {"id": request_id,
                        **_error_payload(exc.code, exc.message)}

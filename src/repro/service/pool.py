@@ -168,16 +168,24 @@ class WorkerPool:
         }
 
     def _submit_batch(self, executor, pending, fn):
-        """Submit jobs, riding any scheduled ``pool.job`` fault along."""
+        """Submit jobs, riding any scheduled ``pool.job`` fault along.
+
+        A worker that dies while jobs are still being submitted breaks
+        the executor under ``submit``; the jobs not yet submitted are
+        left out, and :meth:`map_ordered` recovers as from any crash.
+        """
         futures = {}
         for index, payload in pending:
             fault = maybe_fault(SITE_POOL_JOB)
-            if fault is not None:
-                futures[index] = executor.submit(
-                    _invoke_with_fault, fault, fn, payload
-                )
-            else:
-                futures[index] = executor.submit(fn, payload)
+            try:
+                if fault is not None:
+                    futures[index] = executor.submit(
+                        _invoke_with_fault, fault, fn, payload
+                    )
+                else:
+                    futures[index] = executor.submit(fn, payload)
+            except BrokenExecutor:
+                break
             self.jobs_dispatched += 1
         return futures
 
@@ -204,7 +212,10 @@ class WorkerPool:
             futures = self._submit_batch(executor, pending, fn)
             failure = None
             for index, _ in pending:
-                future = futures[index]
+                future = futures.get(index)
+                if future is None:   # never submitted: the executor broke
+                    failure = "crash"
+                    break
                 try:
                     results[index] = future.result(timeout=self.job_timeout)
                     self.jobs_completed += 1
@@ -222,9 +233,10 @@ class WorkerPool:
                 break
             # harvest jobs that completed before the failure was noticed
             for index, _ in pending:
-                future = futures[index]
+                future = futures.get(index)
                 if (
                     index not in results
+                    and future is not None
                     and future.done()
                     and not future.cancelled()
                     and future.exception() is None

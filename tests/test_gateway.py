@@ -524,6 +524,29 @@ class TestWebSocketStream:
         assert closing == (0x8, struct.pack(">H", 1001))
         assert elapsed < 3
 
+    def test_admission_refusals_and_a_failing_fsm_report_inline(self):
+        with EvaluationService(n_workers=1) as service:
+            with GatewayInThread(service) as gw:
+                sock, reader = ws_connect(gw.address)
+                try:
+                    for campaign in (
+                        {**make_spec(32), "id": "late", "deadline_ms": 0},
+                        {**make_spec(33), "id": "half",
+                         "fsm": ["published", "nonsense"]},
+                    ):
+                        sock.sendall(ws_encode_frame(json.dumps(campaign),
+                                                     mask=True))
+                    late, first, failed = (
+                        json.loads(ws_recv(reader)[1]) for _ in range(3)
+                    )
+                finally:
+                    sock.close()
+                assert late["error"]["code"] == "deadline_exceeded"
+                assert gw.gateway.stats.deadline_rejected == 1
+                assert (first["id"], first["seq"]) == ("half", 0)
+                assert failed["id"] == "half"
+                assert failed["error"]["code"] == "bad_request"
+
     def test_stream_requires_websocket_upgrade(self):
         with EvaluationService(n_workers=1) as service:
             with GatewayInThread(service) as gw:

@@ -320,6 +320,19 @@ class TestWorkerWatchdog:
             assert pool.requeued_jobs >= 1
             assert pool.health()["alive"] is True
 
+    def test_a_worker_dying_mid_submission_is_recovered(self):
+        # with this many jobs the crash is noticed while later jobs are
+        # still being submitted: submit() itself raises, and the pool
+        # must recover as from any crash instead of staying broken
+        payloads = list(range(3000))
+        plan = FaultPlan([FaultSpec(SITE_POOL_JOB, CRASH, at=1)])
+        with WorkerPool(2, job_timeout=60.0) as pool:
+            with faults_installed(plan):
+                results = pool.map_ordered(_square, payloads)
+            assert results == [p * p for p in payloads]
+            assert pool.crash_recoveries == 1
+            assert pool.map_ordered(_square, [5]) == [25]
+
     def test_hung_worker_is_detected_and_its_job_requeued(self):
         plan = FaultPlan(
             [FaultSpec(SITE_POOL_JOB, HANG, at=1, seconds=60.0)]

@@ -1072,10 +1072,10 @@ def build_parser():
     )
     sub.add_argument(
         "--journal", default=None, metavar="PATH",
-        help="write-ahead request journal: accepted requests are fsync'd "
-             "to this JSONL file before dispatch and replayed (uncommitted "
-             "suffix only) on restart; pair with --cache so committed work "
-             "is re-served without re-simulation",
+        help="write-ahead request journal: accepted requests with "
+             "uncached work are fsync'd to this JSONL file before dispatch "
+             "and replayed (uncommitted suffix only) on restart; pair with "
+             "--cache so committed work is re-served without re-simulation",
     )
     sub.add_argument(
         "--journal-no-fsync", action="store_true",

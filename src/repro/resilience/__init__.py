@@ -30,8 +30,9 @@ deterministically, and assert recovery.  Three pieces:
   durable JSONL append log under the journal, the hint store and the
   cache store, and :class:`RequestJournal`, the
   write-ahead request journal behind ``repro-a2a serve --journal``:
-  accepted requests are fsync'd before dispatch and marked committed
-  when their results land in the persistent cache, so a restarted
+  accepted requests with uncached work are fsync'd before dispatch and
+  marked committed when their results land in the persistent cache
+  (an all-hit request needs no record), so a restarted
   server replays only the uncommitted suffix and never simulates
   committed work twice.
 * :mod:`repro.resilience.chaos` -- the randomized chaos search behind

@@ -419,6 +419,7 @@ class RequestJournal(LogStore):
         # lifetime counters, surfaced by stats()
         self.accepted = 0            # accept records written this run
         self.committed = 0           # commit records written this run
+        self.bypassed = 0            # all-hit requests taken with no accept
         self.replayed = 0            # uncommitted entries resubmitted at start
         self.recovered_accepts = 0   # accept records found on the last load
         self.recovered_commits = 0   # commit records found on the last load
@@ -490,6 +491,7 @@ class RequestJournal(LogStore):
             "fsync": self.fsync,
             "accepted": self.accepted,
             "committed": self.committed,
+            "bypassed": self.bypassed,
             "replayed": self.replayed,
             "recovered_accepts": self.recovered_accepts,
             "recovered_commits": self.recovered_commits,

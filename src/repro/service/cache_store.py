@@ -118,8 +118,9 @@ class PersistentEvaluationCache(EvaluationCache):
     """An :class:`EvaluationCache` mirrored into a :class:`CacheStore`.
 
     Drop-in for every ``cache=`` parameter in the package.  The store is
-    loaded lazily on the first lookup/insert, so building one is free;
-    ``warm()`` forces the load (and reports how many records arrived).
+    loaded lazily on the first lookup, insert, membership test or
+    ``len()``, so building one is free; ``warm()`` forces the load (and
+    reports how many records arrived).
     """
 
     def __init__(self, path, max_bytes=None):
@@ -145,11 +146,19 @@ class PersistentEvaluationCache(EvaluationCache):
                 for key, outcome in self.store.load():
                     super().put(key, outcome)
                 self._loaded = True
-        return len(self)
+        return super().__len__()
 
     def get(self, key):
         self.warm()
         return super().get(key)
+
+    def __contains__(self, key):
+        # a membership test, not a lookup: hits/misses stay put
+        self.warm()
+        return super().__contains__(key)
+
+    def __len__(self):
+        return self.warm()
 
     def put(self, key, outcome):
         self.warm()

@@ -215,9 +215,10 @@ class ServeSession:
     """Decode request lines into service submissions, caching workloads.
 
     ``journal`` (a :class:`repro.resilience.durability.RequestJournal`)
-    arms write-ahead logging: every evaluation spec is journalled --
-    durably, before dispatch -- under a key, and marked committed when
-    its results land in the cache.  The key is the client's ``idem``,
+    arms write-ahead logging: every evaluation spec with an uncached
+    FSM is journalled -- durably, before dispatch -- under a key, and
+    marked committed when its results land in the cache; an all-hit
+    spec is dispatched unjournalled.  The key is the client's ``idem``,
     or a fresh one for a bare spec; only client keys enter the
     idempotency registry, because a fresh key is never sent again.
     :meth:`replay_journal` resubmits the uncommitted suffix after a
@@ -297,12 +298,23 @@ class ServeSession:
     def _journaled_submit(self, idem, spec, record=True):
         """Submit under the write-ahead journal: accept, dispatch, commit.
 
-        Returns the original future.  ``record=False`` is the replay
-        path -- the accept line already exists, so only the commit
-        callback is re-armed.
+        Returns the original future.  A request whose every result is
+        already cached carries no work to protect: it is dispatched with
+        no accept and no commit, and counted as ``bypassed``.  Neither
+        cache evicts, so the dispatcher answers it from the cache, and
+        a client retrying after a crash is again a hit.
+        ``record=False`` is the replay path -- the accept line already
+        exists, so only the commit callback is re-armed, even when the
+        results are cached by now: the commit keeps the entry from
+        being replayed at every restart.
         """
         request = self.build_request(spec)   # validate before journaling
-        if record:
+        bypass = record and all(
+            key in self.service.cache for key in request.cache_keys()
+        )
+        if bypass:
+            self.journal.bypassed += 1
+        elif record:
             self.journal.accept(idem, spec)
         future = self.service.submit(request)
 
@@ -314,7 +326,8 @@ class ServeSession:
             except OSError:
                 pass   # a lost commit costs one replay, never a result
 
-        future.add_done_callback(mark_committed)
+        if not bypass:
+            future.add_done_callback(mark_committed)
         self._arm_replication(spec, request, future)
         return future
 
@@ -324,11 +337,13 @@ class ServeSession:
         A spec carrying ``"idem"`` goes through the idempotency
         registry: duplicates of an earlier key attach to the first
         submission instead of re-enqueueing the work.  With a journal
-        armed, every spec is write-ahead logged.  A bare spec is
-        journalled under a fresh key (the journal needs an identity to
-        correlate its commit) but bypasses the registry, since no client
-        holds that key; it still gets a :func:`copy_future`, so a
-        consumer giving up never cancels journalled work.
+        armed, every spec with work to do is write-ahead logged; one
+        whose results are all cached is not (see
+        :meth:`_journaled_submit`).  A bare spec is journalled under a
+        fresh key (the journal needs an identity to correlate its
+        commit) but bypasses the registry, since no client holds that
+        key; it still gets a :func:`copy_future`, so a consumer giving
+        up never cancels journalled work.
         """
         request_id = spec.get("id") if isinstance(spec, dict) else None
         idem = spec.get("idem") if isinstance(spec, dict) else None

@@ -142,13 +142,16 @@ class EvaluationRequest:
             grid.kind, grid.size, self.suite_fp, self.t_max, self.backend
         )
         self.n_lanes = len(self.fsms) * len(suite)
+        # admission, the dispatcher and replication all read the keys;
+        # each FSM's key is built once, here
+        self._cache_keys = tuple(
+            evaluation_cache_key(grid, self.suite_fp, self.t_max, fsm)
+            for fsm in self.fsms
+        )
 
     def cache_keys(self):
         """Full evaluation-cache keys of this request's FSMs, in order."""
-        return [
-            evaluation_cache_key(self.grid, self.suite_fp, self.t_max, fsm)
-            for fsm in self.fsms
-        ]
+        return list(self._cache_keys)
 
 
 class AdaptiveBatchPolicy:

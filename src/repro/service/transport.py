@@ -32,7 +32,12 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
-from repro.resilience.deadline import DeadlineExceeded, spec_deadline, stamp_spec
+from repro.resilience.deadline import (
+    DEADLINE_FIELD,
+    DeadlineExceeded,
+    spec_deadline,
+    stamp_spec,
+)
 from repro.resilience.faults import (
     DELAY,
     DISCONNECT,
@@ -449,13 +454,19 @@ class BaseAsyncServer:
 
     async def _evolve(self, spec):
         self.stats.requests += 1
+        # rebased now, so the wait for the evolve thread spends it too
+        deadline = spec_deadline(spec)
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
-                self._evolve_executor, self._run_evolve, dict(spec)
+                self._evolve_executor, self._run_evolve, dict(spec), deadline
             )
         except (ValueError, TypeError):
             raise   # the spec's fault: run_op answers bad_request
+        except DeadlineExceeded as exc:
+            raise RequestExecutionError(
+                ERR_DEADLINE_EXCEEDED, str(exc)
+            ) from exc
         except Exception as exc:   # the evolution itself failed
             raise RequestExecutionError(
                 ERR_EVALUATION_FAILED, repr(exc)
@@ -527,11 +538,15 @@ class BaseAsyncServer:
                 ERR_EVALUATION_FAILED, str(exc)
             ) from exc
 
-    def _run_evolve(self, spec):
+    def _run_evolve(self, spec, deadline):
+        """One GA run.  ``deadline`` is checked once, as the run starts:
+        a spent budget never starts it, and a started run is not cut
+        short."""
         from repro import api
 
         request_id = spec.pop("id", None)
         spec.pop("priority", None)
+        spec.pop(DEADLINE_FIELD, None)
         allowed = {
             "grid", "size", "agents", "fields", "seed", "n_generations",
             "pool_size", "exchange_width", "n_states", "t_max", "backend",
@@ -539,6 +554,8 @@ class BaseAsyncServer:
         unknown = set(spec) - allowed
         if unknown:
             raise ValueError(f"unknown evolve fields {sorted(unknown)}")
+        if deadline is not None:
+            deadline.check(where="before the evolve run started")
         result = api.evolve(cache=self.service.cache, **spec)
         best = result.best
         return {

@@ -19,6 +19,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from tests.conftest import ServerInThread
 
 from repro.configs.suite import paper_suite
 from repro.core.fsm import FSM
-from repro.evolution.fitness import evaluate_population
+from repro.evolution.fitness import EvaluationCache, evaluate_population
 from repro.grids import make_grid
 from repro.resilience import (
     FaultPlan,
@@ -73,6 +74,7 @@ from repro.service import (
     TransportError,
 )
 from repro.service.jsonl import ServeSession
+from repro.service.metrics import render_metrics
 from repro.service.supervisor import _pin_address
 
 T_MAX = 60
@@ -342,6 +344,168 @@ class TestJournalReplay:
         recovered = stats["cache"]["persistent"]["recovered_records"]
         assert stats["simulated_fsms"] == n - recovered
         assert "journal" in stats
+
+
+class _MissesInFlight:
+    """A live service whose process dies before it dispatches a miss:
+    all-hit requests are answered, every other request stays open."""
+
+    def __init__(self, service):
+        self.service = service
+        self.cache = service.cache
+
+    def submit(self, request):
+        if all(key in self.cache for key in request.cache_keys()):
+            return self.service.submit(request)
+        return Future()
+
+
+def _journal_lines(path):
+    return path.read_text().splitlines() if path.exists() else []
+
+
+class TestHitBypass:
+    """A request whose results are all cached is taken with no journal
+    record: there is no work for the journal to protect."""
+
+    def warm(self, cache, specs, outcomes):
+        """Put ``outcomes`` under ``specs``' keys, as an earlier life did."""
+        session = ServeSession(None)
+        for spec, outcome in zip(specs, outcomes):
+            key, = session.build_request(spec).cache_keys()
+            cache.put(key, outcome)
+
+    def serve(self, cache, journal, specs):
+        with EvaluationService(n_workers=1, cache=cache) as service:
+            session = ServeSession(service, journal=journal)
+            got = [session.submit_spec(dict(s))[1].result(timeout=120)
+                   for s in specs]
+        return got, service.snapshot()
+
+    def test_an_all_hit_request_writes_no_journal_line(self, tmp_path):
+        specs = tiny_specs(2)
+        expected = reference_outcomes(2)
+        path = tmp_path / "journal.jsonl"
+        cache = PersistentEvaluationCache(tmp_path / "cache.jsonl")
+        self.warm(cache, specs, expected)
+        cache.close()
+        cache = PersistentEvaluationCache(tmp_path / "cache.jsonl")
+        journal = RequestJournal(path)
+        got, snapshot = self.serve(cache, journal, [
+            specs[0], dict(specs[1], fsm=[specs[0]["fsm"], specs[1]["fsm"]]),
+        ])
+        journal.close()
+        cache.close()
+        assert got == [[expected[0]], expected]
+        assert _journal_lines(path) == []
+        assert {name: journal.stats()[name]
+                for name in ("accepted", "committed", "bypassed")} == {
+            "accepted": 0, "committed": 0, "bypassed": 2,
+        }
+        assert snapshot["simulated_fsms"] == 0
+        # only the dispatcher looked keys up (1 + 2); admission did not
+        assert (snapshot["cache"]["hits"], snapshot["cache"]["misses"]) == (
+            3, 0,
+        )
+        metrics = render_metrics({"journal": journal.stats()})
+        assert "repro_journal_bypassed 2" in metrics
+
+    @pytest.mark.parametrize("cached", [(), (0,)], ids=["miss", "one-of-two"])
+    def test_a_request_with_an_uncached_fsm_is_journaled(
+        self, tmp_path, cached
+    ):
+        specs = tiny_specs(2)
+        expected = reference_outcomes(2)
+        path = tmp_path / "journal.jsonl"
+        cache = EvaluationCache()
+        self.warm(cache, [specs[i] for i in cached],
+                  [expected[i] for i in cached])
+        journal = RequestJournal(path)
+        spec = dict(specs[0], fsm=[s["fsm"] for s in specs], idem="k")
+        got, snapshot = self.serve(cache, journal, [spec])
+        journal.close()
+        assert got == [expected]
+        records = [json.loads(line) for line in _journal_lines(path)]
+        assert [(r["t"], r["idem"]) for r in records] == [
+            ("accept", "k"), ("commit", "k"),
+        ]
+        assert journal.stats()["bypassed"] == 0
+        assert snapshot["simulated_fsms"] == 2 - len(cached)
+
+    def test_two_lives_replay_only_the_misses(self, tmp_path):
+        """Life 1 answers its hits and dies with its misses in flight;
+        life 2 replays the misses alone."""
+        n, hits = 5, (0, 2, 3)
+        specs = tiny_specs(n, idem_prefix="bypass")
+        expected = reference_outcomes(n)
+        store_path = tmp_path / "cache.jsonl"
+        journal_path = tmp_path / "journal.jsonl"
+
+        # -- life 1: hits answered from the warm store, misses never run
+        cache = PersistentEvaluationCache(store_path)
+        self.warm(cache, [specs[i] for i in hits],
+                  [expected[i] for i in hits])
+        cache.close()
+        cache = PersistentEvaluationCache(store_path)
+        journal = RequestJournal(journal_path)
+        with EvaluationService(n_workers=1, cache=cache) as service:
+            session = ServeSession(_MissesInFlight(service), journal=journal)
+            futures = [session.submit_spec(dict(s))[1] for s in specs]
+            for i in hits:
+                assert futures[i].result(timeout=120) == [expected[i]]
+            assert not any(futures[i].done()
+                           for i in range(n) if i not in hits)
+        life1 = journal.stats()
+        cache.close()
+        journal.close()
+        assert (life1["accepted"], life1["bypassed"]) == (n - len(hits),
+                                                          len(hits))
+
+        # -- life 2: replay, then clients re-request everything ------------
+        cache2 = PersistentEvaluationCache(store_path)
+        journal2 = RequestJournal(journal_path)
+        with EvaluationService(n_workers=1, cache=cache2) as service2:
+            session2 = ServeSession(service2, journal=journal2)
+            replayed = session2.replay_journal()
+            retries = [session2.submit_spec(dict(s))[1] for s in specs]
+            got = [future.result(timeout=120) for future in retries]
+            snapshot = session2.stats()
+        cache2.close()
+        journal2.close()
+
+        assert got == [[outcome] for outcome in expected]
+        recovered = snapshot["cache"]["persistent"]["recovered_records"]
+        assert recovered == len(hits)
+        assert replayed == n - len(hits)
+        assert snapshot["simulated_fsms"] == n - recovered
+        assert snapshot["journal"]["bypassed"] == len(hits)
+        assert snapshot["journal"]["accepted"] == 0
+        assert RequestJournal(journal_path).replay_entries() == []
+
+    def test_a_replayed_accept_already_cached_is_committed_unsimulated(
+        self, tmp_path
+    ):
+        specs = tiny_specs(1, idem_prefix="cached-replay")
+        expected = reference_outcomes(1)
+        path = tmp_path / "journal.jsonl"
+        with RequestJournal(path) as journal:
+            journal.accept(specs[0]["idem"], specs[0])   # died undispatched
+        cache = EvaluationCache()
+        self.warm(cache, specs, expected)   # yet the result was kept
+        journal = RequestJournal(path)
+        with EvaluationService(n_workers=1, cache=cache) as service:
+            session = ServeSession(service, journal=journal)
+            assert session.replay_journal() == 1
+            original = session.idempotency.get(specs[0]["idem"])
+            assert original.result(timeout=120) == expected
+        journal.close()
+        assert service.stats.simulated_fsms == 0
+        assert journal.stats()["committed"] == 1
+        revived = RequestJournal(path)
+        assert revived.replay_entries() == []
+        assert revived.compact() == 2   # the accept and its commit
+        assert _journal_lines(path) == []
+        revived.close()
 
 
 # the in-thread TCP server now lives in the shared conftest

@@ -1001,6 +1001,15 @@ HTTP_WIRE_CASES = {
     "evolve": ("POST /v1/evolve", _EVOLVE, _TOKEN, 200,
                ("best generations id wall_seconds",), {},
                "requests responses evolve_runs"),
+    "evolve-live-deadline-header": (
+        "POST /v1/evolve", _EVOLVE,
+        _TOKEN + (("X-Request-Deadline", "600000"),), 200,
+        ("best generations id wall_seconds",), {},
+        "requests responses evolve_runs"),
+    "evolve-spent-deadline-header": (
+        "POST /v1/evolve", _EVOLVE, _TOKEN + (("X-Request-Deadline", "0"),),
+        504, (*_ERROR, "deadline_exceeded"), {},
+        "requests deadline_exceeded errors"),
     "evolve-unknown-field": ("POST /v1/evolve", {"bogus": 1}, _TOKEN, 400,
                              (*_ERROR, "bad_request"), {},
                              "requests bad_requests errors"),

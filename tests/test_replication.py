@@ -446,13 +446,21 @@ class TestReplicatedFleet:
             )
             assert received >= 1   # the peer got the records, not a rerun
 
-    def test_replica_kill_resimulates_nothing(self):
+    def kill_a_replica(self, **scale):
         from repro.resilience.chaos import run_replication_kill
 
         result = run_replication_kill(
-            n_nodes=3, n_clients=2, n_passes=1, log=lambda line: None,
+            n_nodes=3, log=lambda line: None, **scale
         )
         assert result.ok, result.summary()
         assert result.resimulated == 0
         assert result.mismatches == 0
         assert result.converged
+
+    def test_replica_kill_resimulates_nothing(self):
+        self.kill_a_replica(n_clients=2, n_passes=1)
+
+    def test_replica_kill_resimulates_nothing_at_fifty_clients(self):
+        """The scale the replication smoke job ran: 50 clients, the
+        default three passes of the multi-seed workload."""
+        self.kill_a_replica(n_clients=50)

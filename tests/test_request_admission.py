@@ -34,7 +34,11 @@ from repro.configs.random_configs import random_configurations
 from repro.configs.suite import ConfigSuite, digest_configurations, paper_suite
 from repro.core.environment import Environment
 from repro.core.fsm import FSM
-from repro.evolution.fitness import evaluate_population, suite_fingerprint
+from repro.evolution.fitness import (
+    EvaluationCache,
+    evaluate_population,
+    suite_fingerprint,
+)
 from repro.grids import make_grid
 from repro.resilience.durability import (
     RECORD_ACCEPT,
@@ -84,6 +88,9 @@ def _journal_records(path):
 
 class _StalledService:
     """A service whose dispatcher never runs: accepted work stays open."""
+
+    def __init__(self):
+        self.cache = EvaluationCache()   # empty: every request is journaled
 
     def submit(self, request):
         return Future()

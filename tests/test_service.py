@@ -609,6 +609,24 @@ class TestPersistentCache:
             assert service.evaluate(grid, fsms, suite, t_max=60) == serial
             assert service.stats.simulated_fsms == 0   # all store hits
 
+    def test_membership_and_len_load_a_reopened_store(self, setup, tmp_path):
+        grid, suite, fsms = setup
+        path = tmp_path / "store.jsonl"
+        key, other = self._keys(grid, suite, fsms[:2])
+        outcome = evaluate_population(grid, fsms[:1], suite, t_max=60)[0]
+        with CacheStore(path) as store:
+            store.append(key, outcome)
+        for probe in (lambda cache: key in cache, len):
+            revived = PersistentEvaluationCache(path)
+            assert probe(revived) == 1   # no get() has loaded it first
+            assert revived.stats()["persistent"]["loaded"]
+            revived.close()
+        revived = PersistentEvaluationCache(path)
+        assert other not in revived
+        stats = revived.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 0)   # not lookups
+        revived.close()
+
     def test_torn_tail_is_truncated_and_store_continues(
         self, setup, tmp_path
     ):

@@ -32,6 +32,11 @@ def _grid_kind(value):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _lane_block(value):
+    """Argparse type for ``--lane-block``: a lane count, or ``auto``."""
+    return value if value == "auto" else int(value)
+
+
 def _add_grid_argument(parser, default="T"):
     parser.add_argument(
         "--grid", type=_grid_kind, choices=("S", "T"), default=default,
@@ -981,7 +986,12 @@ def build_parser():
         help="worker processes (default: all cores; 1 = inline)",
     )
     _add_deprecated_alias(sub, "--n-workers", "workers", "--workers")
-    sub.add_argument("--lane-block", type=int, default=4096)
+    sub.add_argument(
+        "--lane-block", type=_lane_block, default="auto",
+        help="lanes per evaluation batch (default: auto, 32768 // k lanes "
+             "at k agents per field: 4096 at k = 8, 128 at k = 256; "
+             "0 = one batch)",
+    )
     sub.add_argument(
         "--max-requests", type=int, default=None,
         help="exit after this many requests (smoke tests)",

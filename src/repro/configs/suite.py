@@ -210,21 +210,33 @@ class ConfigSuite:
         """
         return digest_configurations(self)
 
+    def _map_rows(self, rows, names):
+        """The suite with every array replaced by ``rows(array)``."""
+        def apply(array):
+            return None if array is None else rows(array)
+
+        return ConfigSuite(
+            self.grid_kind, self.grid_size, self.seed, apply(self.cells),
+            apply(self.directions), names, stated=apply(self.stated),
+            states=apply(self.states),
+        )
+
     def tile(self, times):
         """The suite's fields repeated ``times`` times, in order: the
         lanes of ``times`` FSMs, laid out FSM-major.  The suite itself
         when ``times == 1``."""
         if times == 1:
             return self
+        return self._map_rows(lambda array: np.concatenate([array] * times),
+                              self.names * times)
 
-        def repeat(array):
-            return None if array is None else np.concatenate([array] * times)
-
-        return ConfigSuite(
-            self.grid_kind, self.grid_size, self.seed, repeat(self.cells),
-            repeat(self.directions), self.names * times,
-            stated=repeat(self.stated), states=repeat(self.states),
-        )
+    def block(self, start, stop):
+        """Fields ``[start, stop)`` as a suite over views of the arrays;
+        the suite itself when that is every field."""
+        if start <= 0 and stop >= self.n_fields:
+            return self
+        return self._map_rows(lambda array: array[start:stop],
+                              self.names[start:stop])
 
     def _configurations(self, rows):
         """The configurations of ``rows``, a sequence of row indices."""

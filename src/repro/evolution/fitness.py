@@ -3,31 +3,31 @@
 Evaluation is simulation: an FSM's fitness is the paper's
 ``F = mean_i [ W (k - a_i) + t_i ]`` over every field of a suite
 (:mod:`repro.core.metrics`).  The heavy lifting happens in the batch
-simulator; a whole population is evaluated as ``population x fields``
-lanes, split two ways for scale:
+simulator; every entry point runs the FSMs x fields lanes through one
+block loop, :func:`_evaluate_blocks`, whose batches hold at most
+``lane_block`` lanes -- by default as many as fit in
+:data:`AGENT_LANE_BLOCK` agent-lanes, ``32768 // k`` at ``k`` agents per
+field, so a batch's state stays cache-sized whatever ``k`` is.  Its one
+layout rule: when the whole suite fits in a block, whole FSMs are packed
+per batch, FSM-major; when it does not (the packed ``k = 256`` fields,
+or a suite streamed from a generator), the fields are tiled and each
+block holds every FSM on a run of fields.  Per-FSM sums accumulate as
+integers and are divided once; the paper fitness is integer-valued per
+lane and lanes are independent, so every layout is bit-identical to one
+monolithic batch.  Peak memory is bounded by the block, not the suite,
+which is what makes 64x64 / k=1024 workloads viable.
 
-* **lane blocks** -- lanes are chunked into blocks of at most
-  ``lane_block`` (a 20-FSM pool over the paper's 1003 fields would
-  otherwise materialise >20k lanes of ``(B, M * M)`` state at once);
-  chunking is bit-exact because lanes are independent.
-* **worker shards** (opt-in) -- with ``n_workers`` the FSMs are split
-  into contiguous shards evaluated by a pool of worker processes, one
-  :class:`BatchSimulator` chain per worker; outcomes are merged back in
-  input order, so results are deterministic and identical to the serial
-  path.
-* **streamed suites** -- a suite passed as a generator (anything
-  without ``len``) is consumed incrementally in field blocks sized so
-  that at most ``lane_block`` lanes are ever alive, with per-FSM sums
-  accumulated across blocks.  Peak memory is bounded by the block, not
-  the suite, which is what makes 64x64 / k=1024 workloads viable; the
-  paper fitness is integer-valued per lane, so the accumulated means
-  are bit-identical to the materialised path.
+With ``n_workers`` the FSMs are split into contiguous shards evaluated by
+a pool of worker processes, each running the same loop; outcomes are
+merged back in input order, so results are deterministic and identical
+to the serial path.
 
 Every entry point takes a ``backend=`` selecting the simulator's step
 backend (:mod:`repro.core.backends`); backends are bit-exact, so cache
 keys deliberately ignore the choice.
 """
 
+import itertools
 import multiprocessing
 import threading
 
@@ -39,8 +39,18 @@ from repro.core.metrics import FITNESS_WEIGHT
 from repro.core.vectorized import BatchSimulator
 from repro.results import EvaluationResult
 
-#: Default ceiling on simultaneous lanes per batch (FSMs x suite fields).
-DEFAULT_LANE_BLOCK = 4096
+#: Default ceiling on agent-lanes per batch (lanes x agents per field).
+AGENT_LANE_BLOCK = 32768
+
+
+def default_lane_block(n_agents):
+    """Lanes per batch under ``lane_block="auto"`` at ``n_agents`` agents
+    per field: ``AGENT_LANE_BLOCK // n_agents``, at least one."""
+    return max(1, AGENT_LANE_BLOCK // n_agents)
+
+
+#: The default lane block at the paper's k = 8 (4096 lanes).
+DEFAULT_LANE_BLOCK = default_lane_block(8)
 
 
 def __getattr__(name):
@@ -54,132 +64,128 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _outcome_from_batch(batch):
-    return EvaluationResult(
-        fitness=batch.mean_fitness(),
-        mean_time=batch.mean_time(),
-        n_fields=batch.n_lanes,
-        n_successful_fields=int(batch.success.sum()),
-    )
+def _lane_sums(batch, n_fsms):
+    """``(3, n_fsms)`` integer sums of an FSM-major batch (``n_fsms``
+    equal runs of lanes): per-lane fitness, successful times, successes."""
+    shape = (n_fsms, batch.n_lanes // n_fsms)
+    success = batch.success.reshape(shape)
+    return np.stack([
+        batch.fitness(FITNESS_WEIGHT).reshape(shape).sum(axis=1),
+        np.where(success, batch.t_comm.reshape(shape), 0).sum(axis=1),
+        success.sum(axis=1),
+    ])
+
+
+def _outcomes(sums, n_fields):
+    """One :class:`EvaluationResult` per column of :func:`_lane_sums`
+    totals over ``n_fields`` fields.  Every sum is an integer below
+    2 ** 53, so each mean is the monolithic batch's to the last bit."""
+    return [
+        EvaluationResult(
+            fitness=float(fitness / n_fields),
+            mean_time=float(time / successes) if successes else float("inf"),
+            n_fields=n_fields,
+            n_successful_fields=int(successes),
+        )
+        for fitness, time, successes in sums.T
+    ]
+
+
+def batch_outcomes(batch, n_fsms):
+    """Per-FSM outcomes of one FSM-major batch of ``n_fsms`` equal runs
+    of lanes, for callers that build their own simulator."""
+    return _outcomes(_lane_sums(batch, n_fsms), batch.n_lanes // n_fsms)
+
+
+def _field_blocks(suite, grid, n_fields):
+    """``suite`` as consecutive sub-suites of at most ``n_fields`` fields."""
+    if isinstance(suite, ConfigSuite):
+        for start in range(0, suite.n_fields, n_fields):
+            yield suite.block(start, start + n_fields)
+        return
+    fields = iter(suite)
+    while True:
+        block = list(itertools.islice(fields, n_fields))
+        if not block:
+            return
+        yield ConfigSuite.from_configurations(block, grid)
+
+
+def _evaluate_blocks(grid, fsms, suite, t_max, lane_block, backend=None,
+                     stream_stats=None):
+    """The one evaluation loop (see the module docstring): every FSM of
+    ``fsms`` over ``suite``, a :class:`ConfigSuite`, any other sized
+    collection of configurations, or an unsized iterable consumed once.
+    Field blocks split into FSM groups only when there are more FSMs
+    than lanes in a batch.
+    """
+    n_fsms = len(fsms)
+    if not n_fsms:
+        return []
+    sized = hasattr(suite, "__len__")
+    if sized:
+        if not isinstance(suite, ConfigSuite):
+            suite = ConfigSuite.from_configurations(suite, grid)
+        n_fields, n_agents = suite.cells.shape
+    else:
+        fields = iter(suite)
+        first = next(fields, None)
+        if first is None:
+            raise ValueError("a streamed suite produced no configurations")
+        suite = itertools.chain([first], fields)
+        n_fields, n_agents = None, first.n_agents
+    if n_fields == 0:
+        raise ValueError("a suite with no configurations")
+    if lane_block == "auto" or not (lane_block or sized):
+        # the default, and a stream's cap when none is given
+        lanes = default_lane_block(n_agents)
+    else:
+        lanes = lane_block or n_fsms * n_fields     # None / 0: one batch
+    if sized and n_fields <= lanes:
+        group, block_fields = min(n_fsms, lanes // n_fields), n_fields
+    else:
+        group = min(n_fsms, lanes)
+        block_fields = lanes // group
+
+    sums = np.zeros((3, n_fsms), dtype=np.int64)
+    n_seen = n_batches = max_lanes = 0
+    for block in _field_blocks(suite, grid, block_fields):
+        width = block.n_fields
+        for start in range(0, n_fsms, group):
+            chunk = fsms[start:start + group]
+            # a lone FSM goes in bare: one table row, no per-lane row index
+            lane_fsms = chunk[0] if len(chunk) == 1 else [
+                fsm for fsm in chunk for _ in range(width)
+            ]
+            batch = BatchSimulator(
+                grid, lane_fsms, block.tile(len(chunk)), backend=backend
+            ).run(t_max=t_max)
+            sums[:, start:start + len(chunk)] += _lane_sums(batch, len(chunk))
+            n_batches += 1
+            max_lanes = max(max_lanes, batch.n_lanes)
+        n_seen += width
+    if stream_stats is not None:
+        stream_stats.update(
+            n_fields=n_seen, n_blocks=n_batches,
+            max_lanes_in_flight=max_lanes, block_fields=block_fields,
+        )
+    return _outcomes(sums, n_seen)
 
 
 @renamed_kwargs(tmax="t_max")
 def evaluate_fsm(grid, fsm, suite, t_max=200, backend=None):
-    """Evaluate one FSM over every configuration of ``suite``."""
-    simulator = BatchSimulator(grid, fsm, suite, backend=backend)
-    batch = simulator.run(t_max=t_max)
-    return _outcome_from_batch(batch)
-
-
-def _slice_outcomes(batch, n_fsms, n_fields):
-    """Per-FSM outcomes from an individual-major batch result."""
-    per_lane_fitness = batch.fitness(FITNESS_WEIGHT)
-    outcomes = []
-    for index in range(n_fsms):
-        lanes = slice(index * n_fields, (index + 1) * n_fields)
-        success = batch.success[lanes]
-        times = batch.t_comm[lanes][success]
-        outcomes.append(
-            EvaluationResult(
-                fitness=float(per_lane_fitness[lanes].mean()),
-                mean_time=float(times.mean()) if times.size else float("inf"),
-                n_fields=n_fields,
-                n_successful_fields=int(success.sum()),
-            )
-        )
-    return outcomes
-
-
-def _evaluate_chunked(grid, fsms, suite, t_max, lane_block, backend=None):
-    """Serial evaluation of a :class:`ConfigSuite` in lane blocks;
-    bit-exact vs one monolithic batch."""
-    n_fields = len(suite)
-    if lane_block:
-        fsms_per_chunk = max(1, lane_block // n_fields)
-    else:
-        fsms_per_chunk = len(fsms)
-    outcomes = []
-    for start in range(0, len(fsms), fsms_per_chunk):
-        chunk = fsms[start:start + fsms_per_chunk]
-        lane_fsms = [fsm for fsm in chunk for _ in range(n_fields)]
-        batch = BatchSimulator(
-            grid, lane_fsms, suite.tile(len(chunk)), backend=backend
-        ).run(t_max=t_max)
-        outcomes.extend(_slice_outcomes(batch, len(chunk), n_fields))
-    return outcomes
-
-
-def _evaluate_streamed(grid, fsms, fields, t_max, lane_block, backend=None,
-                       stream_stats=None):
-    """Incremental evaluation of a lazily produced suite.
-
-    ``fields`` is any iterable of configurations; it is consumed in
-    blocks of ``max(1, lane_block // n_fsms)`` fields, so at most
-    ``lane_block`` lanes (one per FSM per block field) are alive at a
-    time regardless of how long the suite runs.  Per-lane outcomes do
-    not depend on batch composition and the paper fitness is
-    integer-valued per lane (``FITNESS_WEIGHT`` is an int), so the
-    accumulated float64 sums are exact and the resulting means are
-    bit-identical to materialising the whole suite.
-    """
-    n_fsms = len(fsms)
-    block_fields = max(1, (lane_block or DEFAULT_LANE_BLOCK) // n_fsms)
-    fitness_sum = np.zeros(n_fsms)
-    time_sum = np.zeros(n_fsms)
-    n_success = np.zeros(n_fsms, dtype=np.int64)
-    n_fields = 0
-    max_lanes = 0
-    n_blocks = 0
-    iterator = iter(fields)
-    while True:
-        block = []
-        for config in iterator:
-            block.append(config)
-            if len(block) == block_fields:
-                break
-        if not block:
-            break
-        lane_fsms = [fsm for fsm in fsms for _ in range(len(block))]
-        lane_configs = block * n_fsms
-        batch = BatchSimulator(
-            grid, lane_fsms, lane_configs, backend=backend
-        ).run(t_max=t_max)
-        per_lane = batch.fitness(FITNESS_WEIGHT)
-        for index in range(n_fsms):
-            lanes = slice(index * len(block), (index + 1) * len(block))
-            success = batch.success[lanes]
-            fitness_sum[index] += per_lane[lanes].sum()
-            time_sum[index] += batch.t_comm[lanes][success].sum()
-            n_success[index] += int(success.sum())
-        n_fields += len(block)
-        max_lanes = max(max_lanes, len(lane_configs))
-        n_blocks += 1
-    if n_fields == 0:
-        raise ValueError("a streamed suite produced no configurations")
-    if stream_stats is not None:
-        stream_stats.update(
-            n_fields=n_fields, n_blocks=n_blocks,
-            max_lanes_in_flight=max_lanes, block_fields=block_fields,
-        )
-    return [
-        EvaluationResult(
-            fitness=float(fitness_sum[index] / n_fields),
-            mean_time=(
-                float(time_sum[index] / n_success[index])
-                if n_success[index] else float("inf")
-            ),
-            n_fields=n_fields,
-            n_successful_fields=int(n_success[index]),
-        )
-        for index in range(n_fsms)
-    ]
+    """Evaluate one FSM over every configuration of ``suite``, in
+    blocks of the default size (field blocks at Table 1's ``k = 256``);
+    the outcome equals one monolithic batch."""
+    return _evaluate_blocks(grid, [fsm], suite, t_max, "auto",
+                            backend=backend)[0]
 
 
 def _shard_worker(payload):
     """Worker entry point: evaluate one contiguous FSM shard serially."""
     grid, fsms, suite, t_max, lane_block, backend = payload
-    return _evaluate_chunked(grid, fsms, suite, t_max, lane_block,
-                             backend=backend)
+    return _evaluate_blocks(grid, fsms, suite, t_max, lane_block,
+                            backend=backend)
 
 
 def _pool_context():
@@ -190,73 +196,63 @@ def _pool_context():
 
 
 @renamed_kwargs(tmax="t_max", workers="n_workers")
-def evaluate_population(grid, fsms, suite, t_max=200,
-                        lane_block=DEFAULT_LANE_BLOCK, n_workers=None,
-                        pool=None, backend=None, stream_stats=None):
-    """Evaluate many FSMs over one suite, chunked and optionally sharded.
+def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
+                        n_workers=None, pool=None, backend=None,
+                        stream_stats=None):
+    """Evaluate many FSMs over one suite, in blocks and optionally sharded.
 
-    Lanes are laid out individual-major: lanes ``[p * F, (p+1) * F)``
-    belong to individual ``p`` over the suite's ``F`` fields.  Returns
-    one :class:`repro.results.EvaluationResult` per FSM, in input order.
-
-    ``lane_block`` bounds the number of simultaneous lanes per batch
-    (``None`` or 0 evaluates everything monolithically); ``n_workers``
-    splits the FSMs over that many worker processes.  ``pool`` may be a
-    persistent :class:`repro.service.WorkerPool`, in which case its
-    workers are reused instead of forking a one-shot pool (``n_workers``
-    then defaults to the pool's size).  All split points fall on
-    whole-FSM boundaries, so every path returns results identical to
-    the monolithic single-process evaluation.
+    Returns one :class:`repro.results.EvaluationResult` per FSM, in input
+    order.  ``lane_block`` bounds the lanes (FSMs x fields) of one batch:
+    the default ``"auto"`` is :func:`default_lane_block` (4096 lanes at
+    the paper's k = 8, 128 at k = 256), an int is taken as given, and
+    ``None`` or 0 evaluates a materialised suite as one batch.
+    ``n_workers`` splits the FSMs over that many worker processes, each
+    running the same block loop; ``pool`` may be a persistent
+    :class:`repro.service.WorkerPool`, whose workers are then reused
+    (``n_workers`` defaults to its size).  Every layout returns results
+    identical to the monolithic single-process evaluation.
 
     A ``suite`` without ``len`` (a generator of configurations) is
-    *streamed*: consumed block by block with at most ``lane_block``
-    lanes in memory at once and never materialised -- the way to run
-    big-world workloads (64x64, k up to 1024).  Streaming is serial;
-    with ``n_workers > 1`` the suite is materialised first so it can be
-    shipped to the shards.  Any other suite that is not a
-    :class:`ConfigSuite` is turned into one, and every batch reads the
-    suite's arrays, tiled once per FSM of the batch; no configuration
-    object is built.  ``stream_stats``, if a dict, receives
-    ``n_fields`` / ``n_blocks`` / ``max_lanes_in_flight`` /
-    ``block_fields`` after a streamed run.
+    *streamed*: consumed block by block (at the default block when
+    ``lane_block`` is ``None`` or 0) and never materialised -- the way
+    to run big-world workloads (64x64, k up to 1024).  With
+    ``n_workers > 1`` it is materialised first so it can be shipped to
+    the shards.  Any other suite that is not a :class:`ConfigSuite` is
+    turned into one.  ``stream_stats``, if a dict, receives ``n_fields``
+    / ``n_blocks`` (batches run) / ``max_lanes_in_flight`` /
+    ``block_fields`` after a serial run.
 
     ``backend`` picks the simulator step backend
     (:mod:`repro.core.backends`); every backend returns bit-identical
     results.
     """
     fsms = list(fsms)
-    streamable = not hasattr(suite, "__len__")
     if pool is not None and n_workers is None:
         n_workers = pool.n_workers
     n_workers = min(n_workers or 1, len(fsms))
-    if streamable and n_workers <= 1:
-        return _evaluate_streamed(
-            grid, fsms, suite, t_max, lane_block, backend=backend,
-            stream_stats=stream_stats,
-        )
+    if n_workers <= 1:
+        return _evaluate_blocks(grid, fsms, suite, t_max, lane_block,
+                                backend=backend, stream_stats=stream_stats)
     if not isinstance(suite, ConfigSuite):
         suite = ConfigSuite.from_configurations(suite, grid)
-    if n_workers > 1:
-        # ship the backend by name: compiled backend instances hold
-        # jit dispatchers that do not pickle
-        backend_name = (
-            backend if backend is None or isinstance(backend, str)
-            else backend.name
-        )
-        shard_size = (len(fsms) + n_workers - 1) // n_workers
-        payloads = [
-            (grid, fsms[start:start + shard_size], suite, t_max,
-             lane_block, backend_name)
-            for start in range(0, len(fsms), shard_size)
-        ]
-        if pool is not None and not pool.inline:
-            shard_outcomes = pool.map_ordered(_shard_worker, payloads)
-        else:
-            with _pool_context().Pool(processes=len(payloads)) as one_shot:
-                shard_outcomes = one_shot.map(_shard_worker, payloads)
-        return [outcome for shard in shard_outcomes for outcome in shard]
-    return _evaluate_chunked(grid, fsms, suite, t_max, lane_block,
-                             backend=backend)
+    # ship the backend by name: compiled backend instances hold jit
+    # dispatchers that do not pickle
+    backend_name = (
+        backend if backend is None or isinstance(backend, str)
+        else backend.name
+    )
+    shard_size = (len(fsms) + n_workers - 1) // n_workers
+    payloads = [
+        (grid, fsms[start:start + shard_size], suite, t_max, lane_block,
+         backend_name)
+        for start in range(0, len(fsms), shard_size)
+    ]
+    if pool is not None and not pool.inline:
+        shard_outcomes = pool.map_ordered(_shard_worker, payloads)
+    else:
+        with _pool_context().Pool(processes=len(payloads)) as one_shot:
+            shard_outcomes = one_shot.map(_shard_worker, payloads)
+    return [outcome for shard in shard_outcomes for outcome in shard]
 
 
 def suite_fingerprint(suite):
@@ -367,7 +363,7 @@ class SuiteEvaluator:
     backend = None
 
     def __init__(self, grid, suite, t_max=200,
-                 lane_block=DEFAULT_LANE_BLOCK, n_workers=None,
+                 lane_block="auto", n_workers=None,
                  pool=None, cache=None, backend=None):
         self.grid = grid
         self.suite = suite

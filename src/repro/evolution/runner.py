@@ -20,7 +20,7 @@ from repro.resilience.checkpoint import (
     Checkpointer,
     load_checkpoint,
 )
-from repro.evolution.fitness import DEFAULT_LANE_BLOCK, SuiteEvaluator
+from repro.evolution.fitness import SuiteEvaluator
 from repro.evolution.genome import MutationRates
 from repro.evolution.population import (
     PAPER_EXCHANGE_WIDTH,
@@ -108,7 +108,7 @@ def _record(population):
 
 
 def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
-           seed_fsms=(), lane_block=DEFAULT_LANE_BLOCK, n_workers=None,
+           seed_fsms=(), lane_block="auto", n_workers=None,
            pool=None, cache=None, checkpoint_path=None, checkpoint_every=1,
            resume_from=None, backend=None):
     """One optimization run over ``suite`` on ``grid``.
@@ -217,7 +217,7 @@ def multi_run(
     settings=EvolutionSettings(),
     top_per_run=3,
     progress=None,
-    lane_block=DEFAULT_LANE_BLOCK,
+    lane_block="auto",
     n_workers=None,
     pool=None,
 ) -> Tuple[List["EvolutionResult"], List]:

@@ -21,6 +21,7 @@ from repro.configs.special import special_configurations
 from repro.core.environment import Environment, random_color_carpet, random_obstacles
 from repro.core.published import published_fsm
 from repro.core.vectorized import BatchSimulator
+from repro.evolution.fitness import batch_outcomes
 from repro.experiments.report import TextTable
 from repro.grids import make_grid
 
@@ -138,29 +139,12 @@ class _EnvironmentSuiteEvaluator:
         self._cache = {}
 
     def _evaluate_batch(self, fsms):
-        from repro.results import EvaluationResult
-
         lane_fsms = [fsm for fsm in fsms for _ in self.configs]
         lane_configs = self.configs * len(fsms)
         batch = BatchSimulator(
             self.grid, lane_fsms, lane_configs, environment=self.environment
         ).run(t_max=self.t_max)
-        outcomes = []
-        n_fields = len(self.configs)
-        fitness = batch.fitness()
-        for index in range(len(fsms)):
-            lanes = slice(index * n_fields, (index + 1) * n_fields)
-            success = batch.success[lanes]
-            times = batch.t_comm[lanes][success]
-            outcomes.append(
-                EvaluationResult(
-                    fitness=float(fitness[lanes].mean()),
-                    mean_time=float(times.mean()) if times.size else float("inf"),
-                    n_fields=n_fields,
-                    n_successful_fields=int(success.sum()),
-                )
-            )
-        return outcomes
+        return batch_outcomes(batch, len(fsms))
 
     def __call__(self, fsm):
         return self.evaluate_many([fsm])[0]

@@ -14,9 +14,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.configs.suite import paper_suite
-from repro.core.vectorized import BatchSimulator
-from repro.results import EvaluationResult
+from repro.configs.suite import ConfigSuite, paper_suite
+from repro.evolution.fitness import evaluate_population
 from repro.evolution.population import Population
 from repro.experiments.report import TextTable
 from repro.extensions.multicolor import MulticolorFSM, mutate_multicolor
@@ -28,32 +27,15 @@ class MulticolorSuiteEvaluator:
 
     def __init__(self, grid, configs, t_max=200):
         self.grid = grid
-        self.configs = list(configs)
+        if not isinstance(configs, ConfigSuite):
+            configs = ConfigSuite.from_configurations(configs, grid)
+        self.configs = configs
         self.t_max = t_max
         self._cache = {}
 
     def _evaluate_batch(self, fsms):
-        lane_fsms = [fsm for fsm in fsms for _ in self.configs]
-        lane_configs = self.configs * len(fsms)
-        batch = BatchSimulator(self.grid, lane_fsms, lane_configs).run(
-            t_max=self.t_max
-        )
-        n_fields = len(self.configs)
-        fitness = batch.fitness()
-        outcomes = []
-        for index in range(len(fsms)):
-            lanes = slice(index * n_fields, (index + 1) * n_fields)
-            success = batch.success[lanes]
-            times = batch.t_comm[lanes][success]
-            outcomes.append(
-                EvaluationResult(
-                    fitness=float(fitness[lanes].mean()),
-                    mean_time=float(times.mean()) if times.size else float("inf"),
-                    n_fields=n_fields,
-                    n_successful_fields=int(success.sum()),
-                )
-            )
-        return outcomes
+        return evaluate_population(self.grid, fsms, self.configs,
+                                   t_max=self.t_max)
 
     def __call__(self, fsm):
         return self.evaluate_many([fsm])[0]

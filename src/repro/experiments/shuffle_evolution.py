@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.configs.suite import paper_suite
 from repro.core.fsm import FSM
-from repro.results import EvaluationResult
+from repro.evolution.fitness import batch_outcomes
 from repro.evolution.genome import MutationRates, mutate
 from repro.evolution.population import Population
 from repro.experiments.report import TextTable
@@ -80,21 +80,7 @@ class PairSuiteEvaluator:
         batch = TimeShuffledBatchSimulator(
             self.grid, lane_even, lane_odd, lane_configs
         ).run(t_max=self.t_max)
-        fitness = batch.fitness()
-        outcomes = []
-        for index in range(len(pairs)):
-            lanes = slice(index * n_fields, (index + 1) * n_fields)
-            success = batch.success[lanes]
-            times = batch.t_comm[lanes][success]
-            outcomes.append(
-                EvaluationResult(
-                    fitness=float(fitness[lanes].mean()),
-                    mean_time=float(times.mean()) if times.size else float("inf"),
-                    n_fields=n_fields,
-                    n_successful_fields=int(success.sum()),
-                )
-            )
-        return outcomes
+        return batch_outcomes(batch, len(pairs))
 
     def __call__(self, pair):
         return self.evaluate_many([pair])[0]

@@ -267,7 +267,7 @@ class EvaluationService:
     coalesced, which the batching tests rely on.
     """
 
-    def __init__(self, n_workers=None, lane_block=DEFAULT_LANE_BLOCK,
+    def __init__(self, n_workers=None, lane_block="auto",
                  pool=None, cache=None, autostart=True, batch_policy=None,
                  job_timeout=None, max_restarts=2):
         self.lane_block = lane_block

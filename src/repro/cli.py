@@ -578,10 +578,10 @@ def _cmd_cluster(args):
             file=sys.stderr, flush=True,
         )
         assassin = None
+        victim = (args.nodes - 1) // 2
         if args.kill_one:
             def assassinate():
                 first_response.wait(timeout=60.0)
-                victim = (args.nodes - 1) // 2
                 print(
                     f"cluster: SIGKILLing node n{victim} mid-run",
                     file=sys.stderr, flush=True,
@@ -600,8 +600,12 @@ def _cmd_cluster(args):
         for thread in threads:
             thread.join()
         elapsed = time.perf_counter() - started
+        recovered = True
         if assassin is not None:
             assassin.join(timeout=5.0)
+            # the clients can finish before the supervisor has noticed
+            # the kill; the log must show the restart
+            recovered = cluster.await_recovery(victim)
         membership = cluster.membership()
         snapshot = cluster.snapshot()
         if args.membership_log:
@@ -616,10 +620,13 @@ def _cmd_cluster(args):
             f"node(s) in {elapsed:.2f}s ({rate:.2f} req/s, "
             f"{args.clients} clients)"
         )
-        ok = not errors and not mismatches[0]
+        ok = not errors and not mismatches[0] and recovered
         if ok:
             print("cluster: all outcomes bit-exact vs single-node oracle")
         else:
+            if not recovered:
+                print(f"cluster: node n{victim} was not restarted or "
+                      "revived after the kill", file=sys.stderr)
             for line in errors:
                 print(f"cluster: {line}", file=sys.stderr)
             if mismatches[0]:
@@ -1161,8 +1168,8 @@ def build_parser():
     )
     sub.add_argument(
         "--kill-one", action="store_true",
-        help="SIGKILL one node mid-run; its supervisor restarts it and "
-             "the run must stay bit-exact",
+        help="SIGKILL one node mid-run; its supervisor must restart it "
+             "and the run must stay bit-exact",
     )
     sub.add_argument(
         "--node-restarts", type=int, default=5,

@@ -71,6 +71,13 @@ class StepBackend:
         informed (every agent holds all ``k`` identifier bits)."""
         raise NotImplementedError
 
+    def sync_knowledge(self, simulator, release=False):
+        """Bring the agents' knowledge rows up to date before anything
+        reads them.  ``release`` says that rows are about to be swapped,
+        so any other copy of the knowledge must be rebuilt from the rows
+        afterwards.  A no-op for backends that exchange in the rows.
+        """
+
 
 def numba_available():
     """True when the numba backend can actually compile."""

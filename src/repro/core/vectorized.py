@@ -68,9 +68,14 @@ The stepper is built for throughput:
   worlds with at least ``DENSE_OCCUPANCY`` (0.5) agents per free cell
   -- Table 1's k = 256 on the 16x16 torus is full -- it computes that OR
   for every cell at once instead, as a CA neighbourhood stencil over a
-  halo-padded knowledge field, in small lane blocks.  OR is order-free
-  and empty, obstacle and border cells hold 0, so both are bit-exact;
-  see :mod:`repro.core.backends.numpy_backend`.  Conflicts are resolved
+  halo-padded knowledge field, in small lane blocks, and keeps the
+  knowledge in that field while nobody moves.  OR is order-free and
+  empty, obstacle and border cells hold 0, so both are bit-exact; see
+  :mod:`repro.core.backends.numpy_backend`.  Every read of the agents'
+  knowledge rows (the ``knowledge`` view, ``informed_counts``, the
+  cycle check, compaction) first calls the backend's
+  ``sync_knowledge``, so only the backend knows where knowledge lives
+  between steps.  Conflicts are resolved
   with one scatter and one gather, plus a ``minimum.at`` fix-up only on
   steps where two agents request one cell, and steps in which nobody
   requests a free front cell skip conflict resolution altogether.
@@ -605,6 +610,7 @@ class BatchSimulator:
     @property
     def knowledge(self):
         """Packed knowledge words, shape ``(B, k, W)``, original lane order."""
+        self._backend.sync_knowledge(self)
         return self._by_lane(self._know_padded[:, 1:, :])
 
     @property
@@ -614,6 +620,7 @@ class BatchSimulator:
 
     def informed_counts(self):
         """Per-lane number of fully informed agents, original lane order."""
+        self._backend.sync_knowledge(self)
         complete = self._w_flags
         np.equal(self._know_padded[:, 1:, :], self._mask_rows, out=complete)
         informed = self._m_informed
@@ -656,6 +663,7 @@ class BatchSimulator:
         exchanged with an unflagged row from the tail, so the copy cost is
         proportional to the rows moving, not the batch size.
         """
+        self._backend.sync_knowledge(self, release=True)
         boundary = start + sinking.size - int(np.count_nonzero(sinking))
         dst = np.flatnonzero(sinking[: boundary - start]) + start
         src = np.flatnonzero(~sinking[boundary - start:]) + boundary
@@ -675,6 +683,7 @@ class BatchSimulator:
         Returns the number of lanes parked.
         """
         n = self._n_active
+        self._backend.sync_knowledge(self)
         key = self._b_idx[:n]
         np.multiply(self._pos[:n], self._code_span, out=key)
         np.add(key, self._code[:n], out=key)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.configs.random_configs import random_configurations
 from repro.configs.special import special_configurations
+from repro.configs.suite import ConfigSuite
 from repro.core.environment import Environment, random_color_carpet, random_obstacles
 from repro.core.published import published_fsm
 from repro.core.vectorized import BatchSimulator
@@ -133,16 +134,17 @@ class _EnvironmentSuiteEvaluator:
 
     def __init__(self, grid, configs, t_max, environment):
         self.grid = grid
-        self.configs = list(configs)
+        # encoded into arrays once; each batch tiles them per FSM
+        self.suite = ConfigSuite.from_configurations(configs, grid)
         self.t_max = t_max
         self.environment = environment
         self._cache = {}
 
     def _evaluate_batch(self, fsms):
-        lane_fsms = [fsm for fsm in fsms for _ in self.configs]
-        lane_configs = self.configs * len(fsms)
+        lane_fsms = [fsm for fsm in fsms for _ in range(len(self.suite))]
         batch = BatchSimulator(
-            self.grid, lane_fsms, lane_configs, environment=self.environment
+            self.grid, lane_fsms, self.suite.tile(len(fsms)),
+            environment=self.environment,
         ).run(t_max=self.t_max)
         return batch_outcomes(batch, len(fsms))
 

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.configs.suite import paper_suite
+from repro.configs.suite import ConfigSuite, paper_suite
 from repro.core.fsm import FSM
 from repro.evolution.fitness import batch_outcomes
 from repro.evolution.genome import MutationRates, mutate
@@ -67,18 +67,21 @@ class PairSuiteEvaluator:
 
     def __init__(self, grid, configs, t_max=200):
         self.grid = grid
-        self.configs = list(configs)
+        # encoded into arrays once; each batch tiles them per pair
+        self.suite = (
+            configs if isinstance(configs, ConfigSuite)
+            else ConfigSuite.from_configurations(configs, grid)
+        )
         self.t_max = t_max
         self._cache = {}
         self.evaluations = 0
 
     def _evaluate_batch(self, pairs):
-        n_fields = len(self.configs)
+        n_fields = len(self.suite)
         lane_even = [pair.even for pair in pairs for _ in range(n_fields)]
         lane_odd = [pair.odd for pair in pairs for _ in range(n_fields)]
-        lane_configs = self.configs * len(pairs)
         batch = TimeShuffledBatchSimulator(
-            self.grid, lane_even, lane_odd, lane_configs
+            self.grid, lane_even, lane_odd, self.suite.tile(len(pairs))
         ).run(t_max=self.t_max)
         return batch_outcomes(batch, len(pairs))
 
@@ -122,7 +125,7 @@ def run_shuffle_evolution(
 ) -> Dict[str, ShuffleEvolutionResult]:
     """Evolve single FSMs and shuffled pairs under equal budgets."""
     grid = make_grid(kind, 16)
-    suite = list(paper_suite(grid, n_agents, n_random=n_random, seed=seed))
+    suite = paper_suite(grid, n_agents, n_random=n_random, seed=seed)
     results = {}
 
     from repro.evolution.fitness import SuiteEvaluator

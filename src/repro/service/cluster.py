@@ -1233,6 +1233,23 @@ class ClusterError(RuntimeError):
     """The fleet cannot be launched or has wholly failed."""
 
 
+#: How each node's supervisor restarts it: the backoff between restarts,
+#: and health probing (a child failing this many probes in a row is
+#: killed and restarted).
+_NODE_SUPERVISION = {"backoff_base": 0.1, "backoff_max": 1.0,
+                     "health_interval": 0.5, "health_timeout": 5.0,
+                     "health_failures": 4}
+
+#: The longest a node supervisor takes to restart a failed child: every
+#: probe of a hang run out, then its longest backoff.
+_HEALTH_BUDGET_S = (
+    _NODE_SUPERVISION["health_failures"]
+    * (_NODE_SUPERVISION["health_interval"]
+       + _NODE_SUPERVISION["health_timeout"])
+    + _NODE_SUPERVISION["backoff_max"]
+)
+
+
 class _Node:
     """One fleet member: identity, pinned address, supervision state."""
 
@@ -1355,8 +1372,7 @@ class Cluster:
         return Supervisor(
             self._serve_args(node),
             max_restarts=self.node_restarts,
-            backoff_base=0.1, backoff_max=1.0,
-            health_interval=0.5, health_timeout=5.0, health_failures=4,
+            **_NODE_SUPERVISION,
             start_timeout=self.start_timeout,
             log=lambda line, nid=node.node_id: self.log(f"[{nid}] {line}"),
         )
@@ -1519,6 +1535,24 @@ class Cluster:
             node.supervisor.kill_server(
                 sig if sig is not None else signal_module.SIGKILL
             )
+
+    def await_recovery(self, index):
+        """Wait until node ``index`` has been restarted by its supervisor
+        or revived by the fleet and is alive; False if that is not so
+        within the supervisor's health budget."""
+        node = self.nodes[index]
+        deadline = time.monotonic() + _HEALTH_BUDGET_S
+        while True:
+            with self._lock:
+                supervisor = node.supervisor
+                recovered = (
+                    node.status == ALIVE and supervisor is not None
+                    and supervisor.running
+                    and supervisor.restarts + node.revivals >= 1
+                )
+            if recovered or time.monotonic() >= deadline:
+                return recovered
+            time.sleep(0.05)
 
     def slow_node(self, index, seconds=0.5):
         """Make node ``index`` *gray* for ``seconds``: frozen, not dead.

@@ -12,14 +12,16 @@ backends, on both sides of the density threshold.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.configs.random_configs import random_configurations
 from repro.configs.suite import paper_suite
 from repro.configs.types import InitialConfiguration
-from repro.core.backends import numba_available
+from repro.core.backends import numba_available, numpy_backend
 from repro.core.backends.numpy_backend import DENSE_OCCUPANCY
 from repro.core.environment import Environment
 from repro.core.fsm import FSM
@@ -38,7 +40,8 @@ _BACKENDS = ["numpy", "pykernel"] + (["numba"] if numba_available() else [])
 
 _VIEWS = ("px", "py", "direction", "state", "colors", "occupancy", "knowledge")
 
-#: More lanes than one stencil block, so a partial last block is covered.
+#: Lanes per batch; ``test_resident_field_matches_the_kernel_twin``
+#: shrinks the stencil block to cover partial last blocks.
 _LANES = 34
 
 _ENVIRONMENTS = ("cyclic", "bordered", "obstacles", "walled")
@@ -400,3 +403,158 @@ def test_stencil_matches_the_kernels(kind, env_name, size, full, backend):
     assert kernel.backend_name == backend
     _lockstep(stencil, kernel, 15)
     _assert_path(stencil, True)
+
+
+# -- the resident field against the kernel twin, read at random steps -----------
+
+#: Counters whose meaning every backend shares.
+_SHARED_COUNTERS = ("steps", "lane_steps", "exchanges", "exchange_early_outs",
+                    "compactions", "retired_lanes", "cycled_lanes")
+
+
+def _assert_same_outcomes(simulator, twin):
+    _assert_same_views(simulator, twin)
+    assert (simulator.informed_counts() == twin.informed_counts()).all()
+    for name in _SHARED_COUNTERS:
+        assert getattr(simulator.counters, name) == getattr(
+            twin.counters, name), name
+
+
+def _check_dense_run(kind, size, env_name, obstacles, n_agents, n_lanes,
+                     lanes_per_block, seed, delayed, t_max, reads):
+    """Step numpy and pykernel side by side on one dense world, comparing
+    them at the steps in ``reads``; ``reads=None`` runs both with
+    ``run(t_max)`` and compares them only when it returns.  ``delayed``
+    lanes stand still for their first steps and then start moving."""
+    grid = make_grid(kind, size)
+    environment = (
+        Environment(grid, obstacles=obstacles) if env_name == "obstacles"
+        else Environment(grid, bordered=env_name == "bordered")
+    )
+    configs = random_configurations(grid, n_agents, n_lanes, seed=seed,
+                                    environment=environment)
+    if delayed:
+        fsms = _table_fsm(6, 5, "moves-from-the-fifth-step")
+        configs = [
+            InitialConfiguration(config.positions, config.directions,
+                                 states=(0,) * n_agents)
+            for config in configs
+        ]
+    else:
+        rng = np.random.default_rng(seed)
+        fsms = [FSM.random(rng) for _ in range(n_lanes)]
+    words = (size + 2) ** 2 * ((n_agents + 63) // 64)
+    with mock.patch.object(numpy_backend, "_STENCIL_BLOCK",
+                           lanes_per_block * words):
+        simulator, twin = (
+            BatchSimulator(grid, fsms, configs, environment=environment,
+                           backend=name)
+            for name in ("numpy", "pykernel")
+        )
+        if reads is None:
+            result, expected = simulator.run(t_max), twin.run(t_max)
+            assert (result.success == expected.success).all()
+            assert (result.t_comm == expected.t_comm).all()
+            assert (result.informed_agents == expected.informed_agents).all()
+        else:
+            for t in range(t_max):
+                if t in reads:
+                    _assert_same_outcomes(simulator, twin)
+                simulator.step()
+                twin.step()
+        _assert_same_outcomes(simulator, twin)
+    _assert_path(simulator, True)
+    return simulator
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_resident_field_matches_the_kernel_twin(data):
+    kind = data.draw(st.sampled_from(["S", "T"]), label="kind")
+    size = data.draw(st.integers(min_value=3, max_value=8), label="size")
+    env_name = data.draw(
+        st.sampled_from(["cyclic", "bordered", "obstacles"]), label="world"
+    )
+    obstacles = data.draw(st.sets(
+        st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+        min_size=1, max_size=3,
+    ), label="obstacles") if env_name == "obstacles" else ()
+    free_cells = size * size - len(obstacles)
+    n_agents = data.draw(st.integers(
+        min_value=math.ceil(DENSE_OCCUPANCY * free_cells),
+        max_value=free_cells,
+    ), label="k")
+    t_max = data.draw(st.integers(min_value=1, max_value=30), label="t_max")
+    reads = data.draw(st.one_of(
+        st.none(), st.sets(st.integers(min_value=0, max_value=t_max - 1)),
+    ), label="reads")
+    _check_dense_run(
+        kind, size, env_name, obstacles, n_agents,
+        n_lanes=data.draw(st.integers(1, 5), label="lanes"),
+        lanes_per_block=data.draw(st.integers(1, 3), label="block"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+        delayed=data.draw(st.booleans(), label="delayed"),
+        t_max=t_max, reads=reads,
+    )
+
+
+@pytest.mark.parametrize("kind", ["S", "T"])
+def test_resident_field_unread_until_run_returns(kind):
+    # full and half-full worlds, nothing read before run() has returned
+    for n_agents in (36, 20):
+        simulator = _check_dense_run(kind, 6, "cyclic", (), n_agents, 5, 2,
+                                     seed=n_agents, delayed=False, t_max=40,
+                                     reads=None)
+        assert simulator.counters.exchanges > 1
+
+
+@pytest.mark.parametrize("env_name", ["cyclic", "bordered"])
+@pytest.mark.parametrize("kind", ["S", "T"])
+def test_resident_field_through_the_first_moves(kind, env_name):
+    # five still steps in the resident field, then the first movers
+    simulator = _check_dense_run(kind, 6, env_name, (), 24, 5, 2, seed=3,
+                                 delayed=True, t_max=12, reads={0, 5, 9})
+    start = random_configurations(simulator.grid, 24, 5, seed=3,
+                                  environment=simulator.environment)
+    assert any(
+        list(zip(px, py)) != list(config.positions)
+        for px, py, config in zip(simulator.px, simulator.py, start)
+    )
+
+
+def _never_moving_twins(grid, environment, configs):
+    fsm = _table_fsm(2, None, "never-moves")
+    return (
+        BatchSimulator(grid, fsm, configs, environment=environment,
+                       backend=name)
+        for name in ("numpy", "pykernel")
+    )
+
+
+def test_static_checkerboard_is_an_early_out():
+    # on an S checkerboard nobody is a neighbour, so no knowledge ever
+    # changes; across the wrap each cell's merged halo mirror sees a
+    # diagonal cell, which must not count as a change
+    grid = make_grid("S", 6)
+    environment = Environment.cyclic(grid)
+    cells = [(x, y) for x in range(6) for y in range(6) if (x + y) % 2 == 0]
+    configs = [InitialConfiguration(cells, (0,) * len(cells))] * 3
+    simulator, twin = _never_moving_twins(grid, environment, configs)
+    _lockstep(simulator, twin, 8)
+    assert simulator.counters.exchange_early_outs == 8
+    _assert_same_outcomes(simulator, twin)
+
+
+def test_cycle_check_reads_the_resident_field():
+    # a full bordered S 10 x 10 floods in 17 steps while every agent's
+    # state, heading and colour repeat with a period dividing 12: the
+    # check at t = 13 must see the knowledge gained since t = 1
+    grid = make_grid("S", 10)
+    environment = Environment(grid, bordered=True)
+    configs = random_configurations(grid, 100, 3, seed=4,
+                                    environment=environment)
+    simulator, twin = _never_moving_twins(grid, environment, configs)
+    result, expected = simulator.run(t_max=25), twin.run(t_max=25)
+    assert result.success.all() and (result.t_comm == 17).all()
+    assert (result.t_comm == expected.t_comm).all()
+    _assert_same_outcomes(simulator, twin)

@@ -11,8 +11,8 @@ from repro.core.render import render_agents
 from repro.core.simulation import Simulation
 from repro.core.trace import capture
 from repro.experiments.campaign import CampaignReport, CampaignSettings
-from repro.experiments.table1 import Table1Row
 from repro.grids import SquareGrid, TriangulateGrid, make_grid
+from repro.results import Table1Cell
 
 
 class TestPublishedTableText:
@@ -76,7 +76,7 @@ class TestRenderEdgeCases:
 
 class TestTable1Row:
     def test_paper_ratio_none_without_reference(self):
-        row = Table1Row(
+        row = Table1Cell(
             n_agents=64, t_time=20.0, s_time=30.0,
             t_reliable=True, s_reliable=True, paper_t=None, paper_s=None,
         )

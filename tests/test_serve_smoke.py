@@ -12,6 +12,9 @@
   counters;
 * ``serve --http --auth-token`` answers both priority classes and a
   WebSocket campaign, and exits 0 after ``POST /v1/shutdown``.
+* a 3-node ``cluster`` serves 50 routed clients bit-exactly through one
+  SIGKILLed node, whose supervisor restarts it before the membership
+  log is written.
 
 Run them with ``PYTHONPATH=src python -m pytest -m net tests/test_serve_smoke.py``.
 """
@@ -195,3 +198,23 @@ def test_http_serving_with_a_token_answers_and_drains(spawn_serve):
         assert messages[3] == {"id": None, "done": True, "n": 3}
         assert client.shutdown() is True
     assert server.proc.wait(timeout=60) == 0
+
+
+def test_cluster_restarts_a_sigkilled_node(tmp_path):
+    log_path = tmp_path / "membership.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "cluster", "--nodes", "3",
+         "--clients", "50", "--kill-one",
+         "--membership-log", str(log_path)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "all outcomes bit-exact" in done.stdout
+    log = json.loads(log_path.read_text())
+    assert sorted(log["membership"]["nodes"]) == ["n0", "n1", "n2"]
+    fleet = log["fleet"]["nodes"]
+    assert sorted(fleet) == ["n0", "n1", "n2"]
+    restarted = [node for node, row in fleet.items()
+                 if row["restarts"] + row["revivals"] >= 1]
+    assert restarted, fleet   # the SIGKILLed node really restarted
+    assert all(row["status"] == "alive" for row in fleet.values())

@@ -265,7 +265,10 @@ def evolve(grid="T", size=16, agents=8, fields=50, seed=2013,
     ``settings`` is an :class:`EvolutionSettings`; keyword ``overrides``
     (``n_generations=``, ``t_max=``, ``pool_size=``, ...) build one when
     it is omitted.  ``grid`` may also be a built :class:`Grid` (then
-    pass the evaluation ``suite=`` alongside it).  Returns the
+    pass the evaluation ``suite=`` alongside it).  Each generation is
+    sharded as :func:`repro.evolution.runner.evolve` shards it: over
+    ``pool``, or over ``n_workers`` processes (by default the available
+    cores; 1 = serial) that the run owns and joins.  Returns the
     :class:`repro.evolution.runner.EvolutionResult` unchanged.
     """
     if isinstance(grid, Grid):

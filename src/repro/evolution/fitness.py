@@ -28,7 +28,6 @@ keys deliberately ignore the choice.
 """
 
 import itertools
-import multiprocessing
 import threading
 
 import numpy as np
@@ -111,6 +110,36 @@ def _field_blocks(suite, grid, n_fields):
         yield ConfigSuite.from_configurations(block, grid)
 
 
+def _block_layout(n_fsms, n_fields, n_agents, lane_block):
+    """``(group, block_fields)``: the FSMs and the fields of one batch of
+    :func:`_evaluate_blocks`; ``n_fields`` is ``None`` for a stream."""
+    if lane_block == "auto" or not (lane_block or n_fields):
+        # the default, and a stream's cap when none is given
+        lanes = default_lane_block(n_agents)
+    else:
+        lanes = lane_block or n_fsms * n_fields     # None / 0: one batch
+    if n_fields is not None and n_fields <= lanes:
+        return min(n_fsms, lanes // n_fields), n_fields
+    group = min(n_fsms, lanes)
+    return group, lanes // group
+
+
+def count_batches(n_fsms, suite, lane_block="auto"):
+    """Batches :func:`_evaluate_blocks` runs for ``n_fsms`` FSMs over the
+    sized ``suite`` (0 when either is empty): the most shards that split
+    the work without adding a batch the serial loop would not run."""
+    if isinstance(suite, ConfigSuite):
+        n_fields, n_agents = suite.cells.shape
+    else:
+        n_fields = len(suite)
+        n_agents = suite[0].n_agents if n_fields else 0
+    if not (n_fsms and n_fields):
+        return 0
+    group, block_fields = _block_layout(n_fsms, n_fields, n_agents,
+                                        lane_block)
+    return -(-n_fields // block_fields) * -(-n_fsms // group)
+
+
 def _evaluate_blocks(grid, fsms, suite, t_max, lane_block, backend=None,
                      stream_stats=None):
     """The one evaluation loop (see the module docstring): every FSM of
@@ -136,16 +165,7 @@ def _evaluate_blocks(grid, fsms, suite, t_max, lane_block, backend=None,
         n_fields, n_agents = None, first.n_agents
     if n_fields == 0:
         raise ValueError("a suite with no configurations")
-    if lane_block == "auto" or not (lane_block or sized):
-        # the default, and a stream's cap when none is given
-        lanes = default_lane_block(n_agents)
-    else:
-        lanes = lane_block or n_fsms * n_fields     # None / 0: one batch
-    if sized and n_fields <= lanes:
-        group, block_fields = min(n_fsms, lanes // n_fields), n_fields
-    else:
-        group = min(n_fsms, lanes)
-        block_fields = lanes // group
+    group, block_fields = _block_layout(n_fsms, n_fields, n_agents, lane_block)
 
     sums = np.zeros((3, n_fsms), dtype=np.int64)
     n_seen = n_batches = max_lanes = 0
@@ -188,13 +208,6 @@ def _shard_worker(payload):
                             backend=backend)
 
 
-def _pool_context():
-    """Prefer fork (cheap, no re-import) where the platform offers it."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 @renamed_kwargs(tmax="t_max", workers="n_workers")
 def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
                         n_workers=None, pool=None, backend=None,
@@ -206,11 +219,13 @@ def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
     the default ``"auto"`` is :func:`default_lane_block` (4096 lanes at
     the paper's k = 8, 128 at k = 256), an int is taken as given, and
     ``None`` or 0 evaluates a materialised suite as one batch.
-    ``n_workers`` splits the FSMs over that many worker processes, each
-    running the same block loop; ``pool`` may be a persistent
-    :class:`repro.service.WorkerPool`, whose workers are then reused
-    (``n_workers`` defaults to its size).  Every layout returns results
-    identical to the monolithic single-process evaluation.
+    ``n_workers`` splits the FSMs into that many contiguous shards, each
+    run through the same block loop by a worker process; ``pool`` may be
+    a persistent :class:`repro.service.WorkerPool`, whose workers are
+    then reused (``n_workers`` defaults to its size).  Without one, the
+    call shards over a transient pool that it joins before returning.
+    Every layout returns results identical to the monolithic
+    single-process evaluation.
 
     A ``suite`` without ``len`` (a generator of configurations) is
     *streamed*: consumed block by block (at the default block when
@@ -247,11 +262,12 @@ def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
          backend_name)
         for start in range(0, len(fsms), shard_size)
     ]
-    if pool is not None and not pool.inline:
-        shard_outcomes = pool.map_ordered(_shard_worker, payloads)
-    else:
-        with _pool_context().Pool(processes=len(payloads)) as one_shot:
-            shard_outcomes = one_shot.map(_shard_worker, payloads)
+    from repro.service.pool import owned_pool
+
+    if pool is not None and pool.inline:
+        pool = None
+    with owned_pool(pool, len(payloads)) as shard_pool:
+        shard_outcomes = shard_pool.map_ordered(_shard_worker, payloads)
     return [outcome for shard in shard_outcomes for outcome in shard]
 
 
@@ -355,7 +371,10 @@ class SuiteEvaluator:
     ``lane_block``, ``n_workers``, ``pool`` and ``backend`` are
     forwarded to :func:`evaluate_population`; none affects results or
     the cache keys, only how the simulation work is laid out (backends
-    are bit-exact by construction).
+    are bit-exact by construction).  A call's fresh FSMs go to at most
+    ``n_workers`` shards (by default the ``pool``'s size) and at most
+    :func:`count_batches`, so one batch of work never forks.  A pickled
+    evaluator (a checkpoint) leaves its ``pool`` behind.
     """
 
     # class-level default so evaluators unpickled from checkpoints
@@ -378,6 +397,15 @@ class SuiteEvaluator:
 
     def _key(self, fsm):
         return evaluation_cache_key(self.grid, self._suite_fp, self.t_max, fsm)
+
+    def _shards(self, n_fsms):
+        workers = self.n_workers or (self.pool.n_workers if self.pool else 1)
+        return min(workers, count_batches(n_fsms, self.suite, self.lane_block))
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["pool"] = None
+        return state
 
     def __call__(self, fsm):
         key = self._key(fsm)
@@ -407,7 +435,7 @@ class SuiteEvaluator:
         if fresh:
             outcomes = evaluate_population(
                 self.grid, fresh, self.suite, t_max=self.t_max,
-                lane_block=self.lane_block, n_workers=self.n_workers,
+                lane_block=self.lane_block, n_workers=self._shards(len(fresh)),
                 pool=self.pool, backend=self.backend,
             )
             for key, outcome in zip(fresh_keys, outcomes):

@@ -121,6 +121,18 @@ def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
     changing any result -- step backends are bit-exact, so an evolution
     run on ``backend="numba"`` reproduces the numpy run exactly.
 
+    Each generation's fresh FSMs are sharded over ``pool``, or over
+    ``n_workers`` processes (by default
+    :func:`repro.service.pool.available_cores`) of a pool the run owns:
+    forked at the first sharded generation, joined before the call
+    returns or raises.  ``n_workers=1`` forks nothing.  A generation
+    gets at most as many shards as the serial loop runs batches
+    (:func:`repro.evolution.fitness.count_batches`): the paper's 10
+    offspring over 1003 fields are 3 batches, a 53-field suite's are 1
+    and stay inline.  Every setting evolves the same trajectory, and the
+    returned evaluator is detached from the pool (``pool=None``,
+    ``n_workers=1``).
+
     ``checkpoint_path`` snapshots the run atomically every
     ``checkpoint_every`` generations (and once more on completion);
     ``resume_from`` picks a run back up from such a snapshot.  The
@@ -132,7 +144,11 @@ def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
     ``n_workers``, ``pool``) are rethreaded from the arguments since
     executors never survive pickling.
     """
+    from repro.service.pool import available_cores, owned_pool
+
     settings.validate()
+    if n_workers is None:
+        n_workers = pool.n_workers if pool is not None else available_cores()
     checkpointer = None
     if checkpoint_path is not None:
         checkpointer = Checkpointer(
@@ -146,53 +162,57 @@ def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
                 "checkpoint settings do not match this run: "
                 f"{state['settings']} != {settings}"
             )
-        population = state["population"]
-        history = list(state["history"])
-        prior_wall = state["wall_seconds"]
-        evaluator = population.evaluator
-        evaluator.lane_block = lane_block
-        evaluator.n_workers = n_workers
-        evaluator.pool = pool
-        evaluator.backend = backend
-        if cache is not None:
-            evaluator.cache = cache
-        started = time.perf_counter()
-    else:
-        rng = np.random.default_rng(settings.seed)
-        evaluator = SuiteEvaluator(
-            grid, suite, t_max=settings.t_max, lane_block=lane_block,
-            n_workers=n_workers, pool=pool, cache=cache, backend=backend,
-        )
-        population = Population(
-            evaluator,
-            rng,
-            size=settings.pool_size,
-            exchange_width=settings.exchange_width,
-            rates=settings.rates,
-            n_states=settings.n_states,
-            seed_fsms=seed_fsms,
-        )
-        started = time.perf_counter()
-        history = [_record(population)]
-        if progress is not None:
-            progress(history[0])
+    with owned_pool(pool, n_workers) as run_pool:
+        if resume_from is not None:
+            population = state["population"]
+            history = list(state["history"])
+            prior_wall = state["wall_seconds"]
+            evaluator = population.evaluator
+            evaluator.lane_block = lane_block
+            evaluator.n_workers = n_workers
+            evaluator.pool = run_pool
+            evaluator.backend = backend
+            if cache is not None:
+                evaluator.cache = cache
+            started = time.perf_counter()
+        else:
+            rng = np.random.default_rng(settings.seed)
+            evaluator = SuiteEvaluator(
+                grid, suite, t_max=settings.t_max, lane_block=lane_block,
+                n_workers=n_workers, pool=run_pool, cache=cache,
+                backend=backend,
+            )
+            population = Population(
+                evaluator,
+                rng,
+                size=settings.pool_size,
+                exchange_width=settings.exchange_width,
+                rates=settings.rates,
+                n_states=settings.n_states,
+                seed_fsms=seed_fsms,
+            )
+            started = time.perf_counter()
+            history = [_record(population)]
+            if progress is not None:
+                progress(history[0])
 
-    def snapshot_state():
-        return {
-            "settings": settings,
-            "population": population,
-            "history": list(history),
-            "wall_seconds": prior_wall + time.perf_counter() - started,
-        }
+        def snapshot_state():
+            return {
+                "settings": settings,
+                "population": population,
+                "history": list(history),
+                "wall_seconds": prior_wall + time.perf_counter() - started,
+            }
 
-    for _ in range(settings.n_generations - population.generation):
-        population.advance()
-        record = _record(population)
-        history.append(record)
-        if progress is not None:
-            progress(record)
-        if checkpointer is not None:
-            checkpointer.maybe(population.generation, snapshot_state)
+        for _ in range(settings.n_generations - population.generation):
+            population.advance()
+            record = _record(population)
+            history.append(record)
+            if progress is not None:
+                progress(record)
+            if checkpointer is not None:
+                checkpointer.maybe(population.generation, snapshot_state)
+    evaluator.pool, evaluator.n_workers = None, 1
     result = EvolutionResult(
         settings=settings,
         history=history,
@@ -205,9 +225,11 @@ def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
 
 
 def _run_job(payload):
-    """Worker entry point: one complete serial ``evolve`` run."""
+    """Worker entry point: one complete serial ``evolve`` run (a pool
+    worker forks no workers of its own)."""
     grid, suite, run_settings, lane_block = payload
-    return evolve(grid, suite, run_settings, lane_block=lane_block)
+    return evolve(grid, suite, run_settings, lane_block=lane_block,
+                  n_workers=1)
 
 
 def multi_run(
@@ -234,18 +256,18 @@ def multi_run(
     to end.  Each worker executes the unchanged serial ``evolve``, and
     results come back in run order, so the sharded protocol is bit-exact
     versus the serial loop.  ``progress`` is only forwarded on the
-    serial path (worker processes cannot call back into the parent).
+    serial path (worker processes cannot call back into the parent),
+    where each run shards its generations as :func:`evolve` does:
+    over ``pool``, or over ``n_workers`` (by default the available
+    cores) of its own.
     """
     per_run_settings = [
         replace(settings, seed=settings.seed + run_index)
         for run_index in range(n_runs)
     ]
-    own_pool = None
-    if pool is None and n_workers and n_workers > 1:
-        from repro.service.pool import WorkerPool
+    from repro.service.pool import owned_pool
 
-        own_pool = pool = WorkerPool(n_workers)
-    try:
+    with owned_pool(pool, n_workers) as pool:
         if pool is not None and not pool.inline and n_runs > 1:
             payloads = [
                 (grid, suite, run_settings, lane_block)
@@ -255,12 +277,9 @@ def multi_run(
         else:
             results = [
                 evolve(grid, suite, run_settings, progress=progress,
-                       lane_block=lane_block)
+                       lane_block=lane_block, n_workers=n_workers, pool=pool)
                 for run_settings in per_run_settings
             ]
-    finally:
-        if own_pool is not None:
-            own_pool.close()
     candidates = []
     for run_index, result in enumerate(results):
         for individual in result.top_successful(top_per_run):

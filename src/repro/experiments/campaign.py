@@ -106,19 +106,13 @@ def run_campaign(settings=None, log=print, pool=None,
     Stages are deterministic, so a resumed campaign's report is
     bit-exact versus an uninterrupted run (wall-clock aside).
     """
-    from repro.service.pool import WorkerPool
+    from repro.service.pool import owned_pool
 
     settings = settings or CampaignSettings()
-    own_pool = None
-    if pool is None and n_workers and n_workers > 1:
-        own_pool = pool = WorkerPool(n_workers)
-    try:
+    with owned_pool(pool, n_workers) as pool:
         return _run_campaign(settings, log, pool,
                              checkpoint_path=checkpoint_path,
                              resume_from=resume_from)
-    finally:
-        if own_pool is not None:
-            own_pool.close()
 
 
 def _run_campaign(settings, log, pool, checkpoint_path=None,

@@ -1,10 +1,11 @@
 """A persistent worker-process pool with a watchdog and inline fallback.
 
-:func:`repro.evolution.fitness.evaluate_population` grows a one-shot
-``multiprocessing.Pool`` per call; a long-lived service (and the
-multi-run / campaign protocols) would pay that fork-and-teardown tax on
-every batch.  :class:`WorkerPool` keeps one ``ProcessPoolExecutor``
-alive across calls and is shared by everything that shards work:
+Forking workers for every batch would charge a long-lived service, a GA
+run, or the multi-run / campaign protocols a fork-and-teardown tax per
+batch.  :class:`WorkerPool` keeps one ``ProcessPoolExecutor`` alive
+across calls and is shared by everything that shards work; a caller
+that needs a pool only for the length of one call takes it from
+:func:`owned_pool`, which joins its workers before returning:
 
 * ``n_workers <= 1`` runs jobs **inline** in the calling process -- no
   subprocess, bit-identical results, and the configuration every test
@@ -35,6 +36,7 @@ import multiprocessing
 import os
 import signal
 import time
+from contextlib import contextmanager
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -70,6 +72,15 @@ def _invoke_with_fault(fault, fn, payload):
     return fn(payload)
 
 
+def available_cores():
+    """CPUs this process may run on: its affinity mask where the platform
+    reports one (``taskset``, cpusets), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _pool_context():
     """Prefer fork (cheap, no re-import) where the platform offers it."""
     if "fork" in multiprocessing.get_all_start_methods():
@@ -98,8 +109,8 @@ def _worker_init():
 class WorkerPool:
     """A reusable pool of worker processes (or an inline stand-in).
 
-    ``n_workers=None`` sizes the pool to the machine; ``n_workers<=1``
-    never forks and simply runs jobs in the calling process.
+    ``n_workers=None`` sizes the pool to :func:`available_cores`;
+    ``n_workers<=1`` never forks and simply runs jobs in the calling process.
 
     ``job_timeout`` arms the watchdog: a job not completing within that
     many seconds marks its workers hung, kills and rebuilds the
@@ -111,7 +122,7 @@ class WorkerPool:
 
     def __init__(self, n_workers=None, job_timeout=None, max_restarts=2):
         if n_workers is None:
-            n_workers = os.cpu_count() or 1
+            n_workers = available_cores()
         self.n_workers = max(1, int(n_workers))
         self.job_timeout = job_timeout
         self.max_restarts = max(0, int(max_restarts))
@@ -149,7 +160,9 @@ class WorkerPool:
                     process.kill()
                 except (OSError, AttributeError):
                     pass
-        executor.shutdown(wait=False, cancel_futures=True)
+        # a recovery must not wait on the hung workers it just killed; a
+        # close joins its workers so none outlives the pool's owner
+        executor.shutdown(wait=not kill, cancel_futures=True)
 
     def health(self):
         """Liveness and watchdog counters, for the ``health`` op."""
@@ -282,7 +295,8 @@ class WorkerPool:
         return state
 
     def close(self):
-        """Shut the workers down; the pool can be lazily revived later."""
+        """Shut the workers down and wait for them to exit; the pool can
+        be lazily revived later."""
         self._discard_executor()
 
     def __enter__(self):
@@ -291,6 +305,26 @@ class WorkerPool:
     def __exit__(self, *exc_info):
         self.close()
         return False
+
+
+@contextmanager
+def owned_pool(pool=None, n_workers=None):
+    """The pool a call shards over, closed on exit only if it made it.
+
+    Yields ``pool`` as given when the caller passed one; otherwise a
+    fresh :class:`WorkerPool` of ``n_workers`` when that is more than
+    one, else ``None`` (run inline, fork nothing).  The fresh pool forks
+    lazily, on its first sharded job, and its workers have exited by the
+    time the ``with`` block is left, on return and on exceptions alike.
+    """
+    if pool is not None or not n_workers or n_workers <= 1:
+        yield pool
+        return
+    own = WorkerPool(n_workers)
+    try:
+        yield own
+    finally:
+        own.close()
 
 
 def map_jobs(pool, fn, payloads):

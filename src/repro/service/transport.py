@@ -539,7 +539,8 @@ class BaseAsyncServer:
             ) from exc
 
     def _run_evolve(self, spec, deadline):
-        """One GA run.  ``deadline`` is checked once, as the run starts:
+        """One GA run, serial: it runs on a server thread, which forks
+        no workers.  ``deadline`` is checked once, as the run starts:
         a spent budget never starts it, and a started run is not cut
         short."""
         from repro import api
@@ -556,7 +557,7 @@ class BaseAsyncServer:
             raise ValueError(f"unknown evolve fields {sorted(unknown)}")
         if deadline is not None:
             deadline.check(where="before the evolve run started")
-        result = api.evolve(cache=self.service.cache, **spec)
+        result = api.evolve(cache=self.service.cache, n_workers=1, **spec)
         best = result.best
         return {
             "id": request_id,

@@ -8,6 +8,8 @@ hypothesis sweep drives the core claim across grid kind, agent count,
 lane chunking and worker counts with one seeded, derandomized net.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,7 @@ class TestMultiRunSharding:
         sharded_results, sharded_candidates = multi_run(
             grid, suite, n_runs=3, settings=TINY_EVOLUTION, n_workers=2
         )
+        assert not multiprocessing.active_children()   # pool joined
         assert history_rows(sharded_results) == history_rows(serial_results)
         assert [r.best.fsm.key() for r in sharded_results] == [
             r.best.fsm.key() for r in serial_results
@@ -102,6 +105,7 @@ class TestCampaignSharding:
         sharded = run_campaign(
             TINY_CAMPAIGN, log=quiet, n_workers=2
         ).to_dict()
+        assert not multiprocessing.active_children()   # pool joined
         serial.pop("wall_seconds", None)
         sharded.pop("wall_seconds", None)
         assert sharded == serial

@@ -64,6 +64,7 @@ from repro.service import (
     AsyncEvaluationServer,
     AsyncServiceClient,
     CacheStore,
+    ClientOptions,
     EvaluationService,
     EXIT_BUDGET_EXHAUSTED,
     IdempotencyRegistry,
@@ -523,7 +524,8 @@ class TestClientFaultSites:
                     policy = RetryPolicy(seed=0, base_delay=0.01,
                                          max_delay=0.2)
                     with TCPServiceClient(
-                        server.address, retry_policy=policy
+                        server.address,
+                        options=ClientOptions(retry_policy=policy),
                     ) as client:
                         for spec in specs:
                             outcomes.append(client.evaluate(**dict(spec)))
@@ -710,7 +712,8 @@ class TestKillNineUnderSupervision:
                                  base_delay=0.05, max_delay=0.5, budget=60.0)
             try:
                 with TCPServiceClient(
-                    supervisor.address, timeout=60.0, retry_policy=policy
+                    supervisor.address,
+                    options=ClientOptions(timeout=60.0, retry_policy=policy),
                 ) as client:
                     outcomes[index] = client.evaluate(**spec)
                     responded.set()
@@ -734,7 +737,9 @@ class TestKillNineUnderSupervision:
             assert not errors, errors[:3]
             probe_policy = RetryPolicy(seed=99, base_delay=0.05)
             with TCPServiceClient(
-                supervisor.address, timeout=15.0, retry_policy=probe_policy
+                supervisor.address,
+                options=ClientOptions(timeout=15.0,
+                                      retry_policy=probe_policy),
             ) as probe:
                 stats = probe.stats()
             restarts = supervisor.restarts

@@ -888,6 +888,17 @@ class TestClientOptions:
             with client:
                 assert client.options.timeout == 7
 
+    def test_legacy_retry_policy_spelling_warns_and_forwards(self):
+        from repro.resilience import RetryPolicy
+
+        policy = RetryPolicy(seed=0)
+        with self._listener() as sock:
+            with pytest.warns(DeprecationWarning, match="retry_policy"):
+                client = TCPServiceClient(sock.getsockname(),
+                                          retry_policy=policy)
+            with client:
+                assert client.options.retry_policy is policy
+
     def test_options_and_legacy_spelling_raise_together(self):
         with pytest.raises(TypeError):
             TCPServiceClient(("127.0.0.1", 1),

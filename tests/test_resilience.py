@@ -61,6 +61,7 @@ from repro.resilience.faults import (
 from repro.service import (
     AsyncEvaluationServer,
     CacheStore,
+    ClientOptions,
     EvaluationService,
     IdempotencyRegistry,
     ServiceClient,
@@ -492,7 +493,9 @@ class TestTransportChaos:
                         seed=index, base_delay=0.01, max_delay=0.5
                     )
                     with TCPServiceClient(
-                        server.address, retry_policy=policy, **client_kwargs
+                        server.address,
+                        options=ClientOptions(retry_policy=policy,
+                                              **client_kwargs),
                     ) as client:
                         for offset, spec in enumerate(per_client[index]):
                             response = client.request(dict(spec))
@@ -563,7 +566,9 @@ class TestTransportChaos:
                         seed=index, base_delay=0.01, max_delay=0.2
                     )
                     with TCPServiceClient(
-                        server.address, timeout=30.0, retry_policy=policy
+                        server.address,
+                        options=ClientOptions(timeout=30.0,
+                                              retry_policy=policy),
                     ) as client:
                         outcomes[index] = client.request(
                             dict(specs[index])
@@ -599,7 +604,8 @@ class TestTransportChaos:
                 for spec in specs:  # fresh client each: ids restart at c0
                     policy = RetryPolicy(seed=0, base_delay=0.01)
                     with TCPServiceClient(
-                        server.address, retry_policy=policy
+                        server.address,
+                        options=ClientOptions(retry_policy=policy),
                     ) as client:
                         got.append(client.request(dict(spec))["outcomes"])
         assert got == expected

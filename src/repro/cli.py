@@ -166,7 +166,6 @@ def _cmd_evolve(args):
         checkpoint_every=args.checkpoint_every,
         resume_from=args.resume,
         backend=args.backend,
-        n_workers=args.workers,
     )
     best = result.best
     print(
@@ -907,11 +906,6 @@ def build_parser():
         choices=["numpy", "numba", "pykernel"],
         help="simulator step backend; results are bit-identical across "
              "backends (numba falls back to numpy when not installed)",
-    )
-    sub.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes sharding each generation (default: the "
-             "available cores; 1 = serial); results are identical",
     )
     sub.set_defaults(handler=_cmd_evolve)
 

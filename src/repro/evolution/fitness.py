@@ -126,8 +126,10 @@ def _block_layout(n_fsms, n_fields, n_agents, lane_block):
 
 def count_batches(n_fsms, suite, lane_block="auto"):
     """Batches :func:`_evaluate_blocks` runs for ``n_fsms`` FSMs over the
-    sized ``suite`` (0 when either is empty): the most shards that split
-    the work without adding a batch the serial loop would not run."""
+    sized ``suite`` (0 when either is empty).  Sharders take it as their
+    cap -- shards <= the serial batch count -- so a one-batch call never
+    forks.  A shard may still run more batches than its share: 10
+    offspring over 1003 fields are 3 batches serially, 4 over 2 shards."""
     if isinstance(suite, ConfigSuite):
         n_fields, n_agents = suite.cells.shape
     else:
@@ -138,6 +140,18 @@ def count_batches(n_fsms, suite, lane_block="auto"):
     group, block_fields = _block_layout(n_fsms, n_fields, n_agents,
                                         lane_block)
     return -(-n_fields // block_fields) * -(-n_fsms // group)
+
+
+def kernel_wrapped(backend=None):
+    """Whether this process has wrapped a method of the simulator or of
+    ``backend``'s step class.  A ``functools.wraps`` wrapper (a tracer's,
+    a profiler's) leaves ``__wrapped__`` and sees only the calls made in
+    this process, none of a forked worker's."""
+    from repro.core.backends import resolve_backend
+
+    owners = (BatchSimulator, type(resolve_backend(backend)))
+    return any(hasattr(value, "__wrapped__")
+               for owner in owners for value in vars(owner).values())
 
 
 def _evaluate_blocks(grid, fsms, suite, t_max, lane_block, backend=None,

@@ -20,7 +20,11 @@ from repro.resilience.checkpoint import (
     Checkpointer,
     load_checkpoint,
 )
-from repro.evolution.fitness import SuiteEvaluator
+from repro.evolution.fitness import (
+    SuiteEvaluator,
+    count_batches,
+    kernel_wrapped,
+)
 from repro.evolution.genome import MutationRates
 from repro.evolution.population import (
     PAPER_EXCHANGE_WIDTH,
@@ -125,12 +129,16 @@ def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
     ``n_workers`` processes (by default
     :func:`repro.service.pool.available_cores`) of a pool the run owns:
     forked at the first sharded generation, joined before the call
-    returns or raises.  ``n_workers=1`` forks nothing.  A generation
-    gets at most as many shards as the serial loop runs batches
-    (:func:`repro.evolution.fitness.count_batches`): the paper's 10
+    returns or raises.  ``n_workers=1`` forks nothing.  A call gets at
+    most as many shards as the serial loop runs batches
+    (:func:`repro.evolution.fitness.count_batches`), and the owned pool
+    no more workers than generation 0's batches: the paper's 10
     offspring over 1003 fields are 3 batches, a 53-field suite's are 1
-    and stay inline.  Every setting evolves the same trajectory, and the
-    returned evaluator is detached from the pool (``pool=None``,
+    and stay inline.  The default is serial while a simulator or step
+    method is wrapped in this process
+    (:func:`repro.evolution.fitness.kernel_wrapped`), so a tracer sees
+    every kernel call.  Every setting evolves the same trajectory, and
+    the returned evaluator is detached from the pool (``pool=None``,
     ``n_workers=1``).
 
     ``checkpoint_path`` snapshots the run atomically every
@@ -147,8 +155,6 @@ def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
     from repro.service.pool import available_cores, owned_pool
 
     settings.validate()
-    if n_workers is None:
-        n_workers = pool.n_workers if pool is not None else available_cores()
     checkpointer = None
     if checkpoint_path is not None:
         checkpointer = Checkpointer(
@@ -162,6 +168,16 @@ def evolve(grid, suite, settings=EvolutionSettings(), progress=None,
                 "checkpoint settings do not match this run: "
                 f"{state['settings']} != {settings}"
             )
+        suite = state["population"].evaluator.suite
+    if pool is not None:
+        if n_workers is None:
+            n_workers = pool.n_workers
+    else:
+        if n_workers is None:
+            n_workers = 1 if kernel_wrapped(backend) else available_cores()
+        # generation 0 (the whole pool) is the largest call to shard
+        n_workers = min(n_workers, max(1, count_batches(
+            settings.pool_size, suite, lane_block)))
     with owned_pool(pool, n_workers) as run_pool:
         if resume_from is not None:
             population = state["population"]

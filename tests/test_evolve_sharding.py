@@ -6,6 +6,7 @@ the pool, forks it lazily, joins it before returning, and forks nothing
 when only one core is available.
 """
 
+import functools
 import multiprocessing
 import os
 import shutil
@@ -18,7 +19,12 @@ from tests.conftest import GatewayInThread
 
 from repro.configs.suite import paper_suite
 from repro.core.fsm import FSM
-from repro.evolution.fitness import count_batches, evaluate_population
+from repro.core.vectorized import BatchSimulator
+from repro.evolution.fitness import (
+    count_batches,
+    evaluate_population,
+    kernel_wrapped,
+)
 from repro.evolution.runner import EvolutionSettings, evolve
 from repro.grids import make_grid
 from repro.resilience.checkpoint import load_checkpoint
@@ -105,6 +111,55 @@ class TestShardedEvolve:
         grid, suite = problem
         evolve(grid, suite, SETTINGS, n_workers=2)
         assert pool_jobs == []
+
+    def test_owned_pool_no_larger_than_generation_zero(self, problem,
+                                                       monkeypatch):
+        grid, suite = problem
+        lane_block = 100
+        cap = count_batches(SETTINGS.pool_size, suite, lane_block)
+        assert 1 < cap < 4
+        sizes, alive = [], []
+
+        class Recording(WorkerPool):
+            def __init__(self, n_workers=None, **kwargs):
+                sizes.append(n_workers)
+                super().__init__(n_workers, **kwargs)
+
+        def count_workers(record):
+            alive.append(len(multiprocessing.active_children()))
+
+        monkeypatch.setattr(pool_module, "WorkerPool", Recording)
+        serial = evolve(grid, suite, SETTINGS, n_workers=1,
+                        lane_block=lane_block)
+        sharded = evolve(grid, suite, SETTINGS, n_workers=4,
+                         lane_block=lane_block, progress=count_workers)
+        assert sizes == [cap]
+        assert max(alive) == cap
+        assert_same_run(sharded, serial)
+
+    def test_wrapped_kernel_keeps_the_default_run_in_process(
+            self, problem, pool_jobs, monkeypatch):
+        grid, suite = problem
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        runs = []
+        original = BatchSimulator.run
+
+        @functools.wraps(original)
+        def counted(self, *args, **kwargs):
+            runs.append(1)
+            return original(self, *args, **kwargs)
+
+        assert not kernel_wrapped()
+        monkeypatch.setattr(BatchSimulator, "run", counted)
+        assert kernel_wrapped()
+        serial = evolve(grid, suite, SETTINGS, n_workers=1,
+                        lane_block=SHARDING_BLOCK)
+        in_process = len(runs)
+        default = evolve(grid, suite, SETTINGS, lane_block=SHARDING_BLOCK)
+        assert pool_jobs == []
+        assert len(runs) == 2 * in_process
+        assert_same_run(default, serial)
 
     def test_checkpoint_resumed_under_the_pool(self, problem, tmp_path):
         grid, suite = problem

@@ -990,7 +990,8 @@ def build_parser():
     )
     sub.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: all cores; 1 = inline)",
+        help="worker processes (default: 1, inline in the server "
+             "process)",
     )
     _add_deprecated_alias(sub, "--n-workers", "workers", "--workers")
     sub.add_argument(

@@ -77,7 +77,7 @@ def run_multicolor_comparison(
 ) -> Dict[int, MulticolorResult]:
     """Equal-budget evolution per colour alphabet."""
     grid = make_grid(kind, 16)
-    suite = list(paper_suite(grid, n_agents, n_random=n_random, seed=seed))
+    suite = paper_suite(grid, n_agents, n_random=n_random, seed=seed)
     results = {}
     for n_colors in color_counts:
         evaluator = MulticolorSuiteEvaluator(grid, suite, t_max=t_max)

@@ -36,7 +36,11 @@ from repro.resilience.faults import (
     gray_node_plan,
     installed as faults_installed,
 )
-from repro.service import EvaluationService, TCPServiceClient
+from repro.service import (
+    ClientOptions,
+    EvaluationService,
+    TCPServiceClient,
+)
 from repro.service.jsonl import ServeSession
 from repro.service.transport import (
     ERR_DEADLINE_EXCEEDED,
@@ -245,7 +249,7 @@ class TestExpiredAtClient:
         attempts = []
         policy = RetryPolicy(seed=0, max_attempts=4, base_delay=0.01)
         client = TCPServiceClient(
-            ("127.0.0.1", 1), retry_policy=policy
+            ("127.0.0.1", 1), options=ClientOptions(retry_policy=policy)
         )
         original_connect = client._connect
 

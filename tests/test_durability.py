@@ -558,9 +558,9 @@ class TestClientFaultSites:
 
         async def drive(address):
             client = await AsyncServiceClient.connect(
-                address, retry_policy=RetryPolicy(
+                address, options=ClientOptions(retry_policy=RetryPolicy(
                     seed=1, base_delay=0.01, max_delay=0.2
-                ),
+                )),
             )
             try:
                 return await asyncio.gather(
@@ -591,9 +591,9 @@ class TestClientFaultSites:
 
         async def drive(address):
             client = await AsyncServiceClient.connect(
-                address, retry_policy=RetryPolicy(
+                address, options=ClientOptions(retry_policy=RetryPolicy(
                     seed=2, base_delay=0.01, max_delay=0.2
-                ),
+                )),
             )
             try:
                 # install after connect(): the initial dial must succeed

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.configs.random_configs import random_configuration
+from repro.configs.suite import ConfigSuite, paper_suite
+from repro.experiments import multicolor_exp
 from repro.core.vectorized import BatchSimulator
 from repro.experiments.multicolor_exp import (
     MulticolorSuiteEvaluator,
@@ -97,3 +99,24 @@ class TestColorComparison:
         text = format_multicolor(results)
         assert "colour" in text
         assert "32" in text and "72" in text
+
+    def test_arms_share_one_array_suite(self, monkeypatch):
+        settings = dict(color_counts=(2, 3), n_random=10, n_generations=2,
+                        pool_size=6, t_max=80)
+        seen = []
+        original = MulticolorSuiteEvaluator.__init__
+
+        def recording(evaluator, grid, configs, t_max=200):
+            seen.append(configs)
+            original(evaluator, grid, configs, t_max)
+
+        monkeypatch.setattr(MulticolorSuiteEvaluator, "__init__", recording)
+        results = run_multicolor_comparison(**settings)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert isinstance(seen[0], ConfigSuite)
+        # the suite gives the results its configuration list gave
+        monkeypatch.setattr(
+            multicolor_exp, "paper_suite",
+            lambda *args, **kwargs: list(paper_suite(*args, **kwargs)),
+        )
+        assert repr(run_multicolor_comparison(**settings)) == repr(results)

@@ -65,6 +65,17 @@ class TestDefaultRule:
         pinned = build_parser().parse_args(["serve", "--lane-block", "512"])
         assert pinned.lane_block == 512
 
+    def test_bare_serve_runs_one_inline_worker(self, capsys):
+        service = _build_service(build_parser().parse_args(["serve"]))
+        try:
+            assert service.pool.n_workers == 1
+        finally:
+            service.close()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "(default: 1, inline in the server process)" in " ".join(
+            capsys.readouterr().out.split())
+
 
 class TestBitExact:
     @pytest.mark.parametrize("kind,n_agents", [

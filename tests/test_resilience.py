@@ -385,10 +385,9 @@ class TestDispatchFaults:
             [FaultSpec(SITE_DISPATCH, DISPATCH_ERROR, at=1)]
         )
         with EvaluationService(n_workers=1) as service:
-            client = ServiceClient(
-                service,
+            client = ServiceClient(service, options=ClientOptions(
                 retry_policy=RetryPolicy(base_delay=0.001, seed=0),
-            )
+            ))
             with faults_installed(plan) as injector:
                 outcomes = client.evaluate(grid, fsms, suite, t_max=T_MAX)
             assert outcomes == serial
@@ -425,12 +424,11 @@ class TestDispatchFaults:
         grid, suite, fsms = tiny_workload(n_fsms=2)
         serial = evaluate_population(grid, fsms, suite, t_max=T_MAX)
         with EvaluationService(n_workers=1) as service:
-            client = ServiceClient(
-                service,
+            client = ServiceClient(service, options=ClientOptions(
                 retry_policy=RetryPolicy(
                     max_attempts=8, base_delay=0.001, seed=seed
                 ),
-            )
+            ))
             with faults_installed(plan):
                 outcomes = client.evaluate(grid, fsms, suite, t_max=T_MAX)
             assert outcomes == serial

@@ -756,6 +756,19 @@ class TestLegacyTimeoutSpelling:
                 if issubclass(w.category, DeprecationWarning)
             ]
 
+    def test_legacy_retry_policy_spelling_warns_and_forwards(self):
+        from repro.resilience import RetryPolicy
+
+        policy = RetryPolicy(seed=0)
+        service = EvaluationService(n_workers=1, autostart=False)
+        try:
+            with pytest.warns(DeprecationWarning, match="retry_policy"):
+                client = ServiceClient(service, retry_policy=policy)
+            assert client.options.retry_policy is policy
+            assert client.retry_policy is policy
+        finally:
+            service.close()
+
     def test_legacy_spelling_still_enforces_the_timeout(self):
         service = EvaluationService(n_workers=1, autostart=False)
         try:

@@ -151,6 +151,29 @@ class TestConcurrentClients:
         assert got == expected
 
 
+class TestLegacyRetryPolicySpelling:
+    def test_connect_warns_and_forwards(self):
+        from repro.resilience import RetryPolicy
+
+        policy = RetryPolicy(seed=0)
+
+        async def scenario():
+            with EvaluationService(n_workers=1) as service:
+                server = await AsyncEvaluationServer(service).start()
+                try:
+                    with pytest.warns(DeprecationWarning,
+                                      match="retry_policy"):
+                        client = await AsyncServiceClient.connect(
+                            server.address, retry_policy=policy
+                        )
+                    await client.aclose()
+                    return client.options.retry_policy
+                finally:
+                    await server.aclose()
+
+        assert asyncio.run(scenario()) is policy
+
+
 class TestDisconnects:
     def test_killed_client_does_not_affect_others(self):
         doomed_spec = spec_for(50)

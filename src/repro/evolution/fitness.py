@@ -3,8 +3,15 @@
 Evaluation is simulation: an FSM's fitness is the paper's
 ``F = mean_i [ W (k - a_i) + t_i ]`` over every field of a suite
 (:mod:`repro.core.metrics`).  The heavy lifting happens in the batch
-simulator; every entry point runs the FSMs x fields lanes through one
-block loop, :func:`_evaluate_blocks`, whose batches hold at most
+simulator; every entry point and every GA in the package -- the paper's
+``evolve`` and the colour-alphabet, bordered-world and time-shuffled-pair
+experiments alike, each through one :class:`SuiteEvaluator` -- runs the
+FSMs x fields lanes through one block loop, :func:`_evaluate_blocks`.
+The simulator follows from the inputs: :class:`BatchSimulator` in the
+given ``environment`` (the paper's cyclic world by default), or the
+genome's own ``batch_simulator`` when its type names one (a
+time-shuffled :class:`repro.experiments.shuffle_evolution.FSMPair`).
+The loop's batches hold at most
 ``lane_block`` lanes -- by default as many as fit in
 :data:`AGENT_LANE_BLOCK` agent-lanes, ``32768 // k`` at ``k`` agents per
 field, so a batch's state stays cache-sized whatever ``k`` is.  Its one
@@ -27,6 +34,7 @@ backend (:mod:`repro.core.backends`); backends are bit-exact, so cache
 keys deliberately ignore the choice.
 """
 
+import hashlib
 import itertools
 import threading
 
@@ -90,12 +98,6 @@ def _outcomes(sums, n_fields):
     ]
 
 
-def batch_outcomes(batch, n_fsms):
-    """Per-FSM outcomes of one FSM-major batch of ``n_fsms`` equal runs
-    of lanes, for callers that build their own simulator."""
-    return _outcomes(_lane_sums(batch, n_fsms), batch.n_lanes // n_fsms)
-
-
 def _field_blocks(suite, grid, n_fields):
     """``suite`` as consecutive sub-suites of at most ``n_fields`` fields."""
     if isinstance(suite, ConfigSuite):
@@ -155,16 +157,20 @@ def kernel_wrapped(backend=None):
 
 
 def _evaluate_blocks(grid, fsms, suite, t_max, lane_block, backend=None,
-                     stream_stats=None):
+                     stream_stats=None, environment=None):
     """The one evaluation loop (see the module docstring): every FSM of
     ``fsms`` over ``suite``, a :class:`ConfigSuite`, any other sized
     collection of configurations, or an unsized iterable consumed once.
     Field blocks split into FSM groups only when there are more FSMs
-    than lanes in a batch.
+    than lanes in a batch.  A batch runs on the genomes'
+    ``batch_simulator`` if they have one, else on :class:`BatchSimulator`;
+    either takes the lane genomes (one bare, or one per lane), the block
+    and ``environment=`` / ``backend=``.
     """
     n_fsms = len(fsms)
     if not n_fsms:
         return []
+    simulator = getattr(fsms[0], "batch_simulator", BatchSimulator)
     sized = hasattr(suite, "__len__")
     if sized:
         if not isinstance(suite, ConfigSuite):
@@ -191,8 +197,9 @@ def _evaluate_blocks(grid, fsms, suite, t_max, lane_block, backend=None,
             lane_fsms = chunk[0] if len(chunk) == 1 else [
                 fsm for fsm in chunk for _ in range(width)
             ]
-            batch = BatchSimulator(
-                grid, lane_fsms, block.tile(len(chunk)), backend=backend
+            batch = simulator(
+                grid, lane_fsms, block.tile(len(chunk)),
+                environment=environment, backend=backend,
             ).run(t_max=t_max)
             sums[:, start:start + len(chunk)] += _lane_sums(batch, len(chunk))
             n_batches += 1
@@ -207,25 +214,25 @@ def _evaluate_blocks(grid, fsms, suite, t_max, lane_block, backend=None,
 
 
 @renamed_kwargs(tmax="t_max")
-def evaluate_fsm(grid, fsm, suite, t_max=200, backend=None):
+def evaluate_fsm(grid, fsm, suite, t_max=200, backend=None, environment=None):
     """Evaluate one FSM over every configuration of ``suite``, in
     blocks of the default size (field blocks at Table 1's ``k = 256``);
     the outcome equals one monolithic batch."""
     return _evaluate_blocks(grid, [fsm], suite, t_max, "auto",
-                            backend=backend)[0]
+                            backend=backend, environment=environment)[0]
 
 
 def _shard_worker(payload):
     """Worker entry point: evaluate one contiguous FSM shard serially."""
-    grid, fsms, suite, t_max, lane_block, backend = payload
+    grid, fsms, suite, t_max, lane_block, backend, environment = payload
     return _evaluate_blocks(grid, fsms, suite, t_max, lane_block,
-                            backend=backend)
+                            backend=backend, environment=environment)
 
 
 @renamed_kwargs(tmax="t_max", workers="n_workers")
 def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
                         n_workers=None, pool=None, backend=None,
-                        stream_stats=None):
+                        stream_stats=None, environment=None):
     """Evaluate many FSMs over one suite, in blocks and optionally sharded.
 
     Returns one :class:`repro.results.EvaluationResult` per FSM, in input
@@ -253,7 +260,10 @@ def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
 
     ``backend`` picks the simulator step backend
     (:mod:`repro.core.backends`); every backend returns bit-identical
-    results.
+    results.  ``environment`` is the world every lane runs in (borders,
+    obstacles, initial colours; the paper's cyclic grid when ``None``).
+    A genome type may name its own simulator (see
+    :func:`_evaluate_blocks`).
     """
     fsms = list(fsms)
     if pool is not None and n_workers is None:
@@ -261,7 +271,8 @@ def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
     n_workers = min(n_workers or 1, len(fsms))
     if n_workers <= 1:
         return _evaluate_blocks(grid, fsms, suite, t_max, lane_block,
-                                backend=backend, stream_stats=stream_stats)
+                                backend=backend, stream_stats=stream_stats,
+                                environment=environment)
     if not isinstance(suite, ConfigSuite):
         suite = ConfigSuite.from_configurations(suite, grid)
     # ship the backend by name: compiled backend instances hold jit
@@ -273,7 +284,7 @@ def evaluate_population(grid, fsms, suite, t_max=200, lane_block="auto",
     shard_size = (len(fsms) + n_workers - 1) // n_workers
     payloads = [
         (grid, fsms[start:start + shard_size], suite, t_max, lane_block,
-         backend_name)
+         backend_name, environment)
         for start in range(0, len(fsms), shard_size)
     ]
     from repro.service.pool import owned_pool
@@ -311,6 +322,23 @@ def evaluation_cache_key(grid, suite_fp, t_max, fsm):
     purpose -- they only re-layout the work, never the results.
     """
     return (grid.kind, grid.size, suite_fp, int(t_max), fsm.key())
+
+
+def _world_fingerprint(suite_fp, environment):
+    """The suite slot of a cache key for ``suite_fp`` run in
+    ``environment``: ``suite_fp`` itself in the paper's cyclic world, so
+    those keys are the plain :func:`evaluation_cache_key`, else a digest
+    of it with the border flag, obstacles, initial colours and colour
+    alphabet."""
+    if environment is None:
+        return suite_fp
+    colors = environment.initial_colors
+    world = (environment.bordered, sorted(environment.obstacles),
+             None if colors is None else colors.tolist(),
+             environment.n_colors)
+    if world == (False, [], None, 2):
+        return suite_fp
+    return hashlib.sha256(repr((suite_fp, world)).encode()).hexdigest()
 
 
 class EvaluationCache:
@@ -382,6 +410,13 @@ class SuiteEvaluator:
     shared by evaluators over *different* suites or step budgets (the
     service does exactly that) and can never serve a stale result.
 
+    ``environment`` is the world the suite runs in, like ``grid`` a
+    problem input; a world other than the paper's cyclic one is folded
+    into the key's suite slot.  A genome is anything whose ``key()``
+    names its behaviour, and it may bring its own ``batch_simulator``
+    (a time-shuffled pair).  A sized suite that is not a
+    :class:`ConfigSuite` is encoded into one here, once.
+
     ``lane_block``, ``n_workers``, ``pool`` and ``backend`` are
     forwarded to :func:`evaluate_population`; none affects results or
     the cache keys, only how the simulation work is laid out (backends
@@ -391,13 +426,16 @@ class SuiteEvaluator:
     evaluator (a checkpoint) leaves its ``pool`` behind.
     """
 
-    # class-level default so evaluators unpickled from checkpoints
-    # written before the backend option keep working
+    # class-level defaults so evaluators unpickled from checkpoints
+    # written before the backend and environment options keep working
     backend = None
+    environment = None
 
     def __init__(self, grid, suite, t_max=200,
                  lane_block="auto", n_workers=None,
-                 pool=None, cache=None, backend=None):
+                 pool=None, cache=None, backend=None, environment=None):
+        if hasattr(suite, "__len__") and not isinstance(suite, ConfigSuite):
+            suite = ConfigSuite.from_configurations(suite, grid)
         self.grid = grid
         self.suite = suite
         self.t_max = t_max
@@ -405,8 +443,10 @@ class SuiteEvaluator:
         self.n_workers = n_workers
         self.pool = pool
         self.backend = backend
+        self.environment = environment
         self.cache = cache if cache is not None else EvaluationCache()
-        self._suite_fp = suite_fingerprint(suite)
+        self._suite_fp = _world_fingerprint(suite_fingerprint(suite),
+                                            environment)
         self.evaluations = 0
 
     def _key(self, fsm):
@@ -426,7 +466,8 @@ class SuiteEvaluator:
         cached = self.cache.get(key)
         if cached is None:
             cached = evaluate_fsm(self.grid, fsm, self.suite,
-                                  t_max=self.t_max, backend=self.backend)
+                                  t_max=self.t_max, backend=self.backend,
+                                  environment=self.environment)
             self.cache.put(key, cached)
             self.evaluations += 1
         return cached
@@ -451,6 +492,7 @@ class SuiteEvaluator:
                 self.grid, fresh, self.suite, t_max=self.t_max,
                 lane_block=self.lane_block, n_workers=self._shards(len(fresh)),
                 pool=self.pool, backend=self.backend,
+                environment=self.environment,
             )
             for key, outcome in zip(fresh_keys, outcomes):
                 self.cache.put(key, outcome)

@@ -9,6 +9,12 @@ reproduction's agents:
   obstacle worlds;
 * agents *evolved for* each environment, for the apples-to-apples
   version of the prior-work claim (slower: runs a GA per environment).
+
+Both go through the package's one evaluation loop with the world passed
+as ``environment=``: the published agents through
+:func:`~repro.evolution.fitness.evaluate_fsm`, each GA through a plain
+:class:`~repro.evolution.fitness.SuiteEvaluator`, whose cache keys tell
+the worlds apart.
 """
 
 from dataclasses import dataclass
@@ -18,11 +24,9 @@ import numpy as np
 
 from repro.configs.random_configs import random_configurations
 from repro.configs.special import special_configurations
-from repro.configs.suite import ConfigSuite
 from repro.core.environment import Environment, random_color_carpet, random_obstacles
 from repro.core.published import published_fsm
-from repro.core.vectorized import BatchSimulator
-from repro.evolution.fitness import batch_outcomes
+from repro.evolution.fitness import SuiteEvaluator, evaluate_fsm
 from repro.experiments.report import TextTable
 from repro.grids import make_grid
 
@@ -47,13 +51,12 @@ def _evaluate(grid, fsm, environment, n_agents, n_random, seed, t_max):
         # manual cases only apply where no obstacle occupies their cells
         if not set(config.positions) & environment.obstacles
     )
-    batch = BatchSimulator(grid, fsm, configs, environment=environment)
-    result = batch.run(t_max=t_max)
+    outcome = evaluate_fsm(grid, fsm, configs, t_max, environment=environment)
     return EnvironmentRow(
         label="",
-        mean_time=result.mean_time(),
-        success_rate=float(result.success.mean()),
-        reliable=result.completely_successful,
+        mean_time=outcome.mean_time,
+        success_rate=outcome.n_successful_fields / outcome.n_fields,
+        reliable=outcome.n_successful_fields == outcome.n_fields,
     )
 
 
@@ -113,7 +116,8 @@ def run_border_evolution_comparison(
         configs.extend(special_configurations(grid, n_agents))
         rng = np.random.default_rng(seed)
         population = Population(
-            _EnvironmentSuiteEvaluator(grid, configs, t_max, environment),
+            SuiteEvaluator(grid, configs, t_max=t_max,
+                           environment=environment),
             rng,
             size=20,
         )
@@ -127,42 +131,6 @@ def run_border_evolution_comparison(
             "history": best_history,
         }
     return results
-
-
-class _EnvironmentSuiteEvaluator:
-    """A SuiteEvaluator that simulates inside a specific environment."""
-
-    def __init__(self, grid, configs, t_max, environment):
-        self.grid = grid
-        # encoded into arrays once; each batch tiles them per FSM
-        self.suite = ConfigSuite.from_configurations(configs, grid)
-        self.t_max = t_max
-        self.environment = environment
-        self._cache = {}
-
-    def _evaluate_batch(self, fsms):
-        lane_fsms = [fsm for fsm in fsms for _ in range(len(self.suite))]
-        batch = BatchSimulator(
-            self.grid, lane_fsms, self.suite.tile(len(fsms)),
-            environment=self.environment,
-        ).run(t_max=self.t_max)
-        return batch_outcomes(batch, len(fsms))
-
-    def __call__(self, fsm):
-        return self.evaluate_many([fsm])[0]
-
-    def evaluate_many(self, fsms):
-        fsms = list(fsms)
-        fresh, seen = [], set()
-        for fsm in fsms:
-            key = fsm.key()
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                fresh.append(fsm)
-        if fresh:
-            for fsm, outcome in zip(fresh, self._evaluate_batch(fresh)):
-                self._cache[fsm.key()] = outcome
-        return [self._cache[fsm.key()] for fsm in fsms]
 
 
 def format_environment_rows(title, rows):

@@ -7,6 +7,12 @@ and compares the best fitness reached.  The trade-off it quantifies: a
 bigger pheromone alphabet is more expressive, but the table (and the
 search space, Sect. 4's ``K = (|s||y|) ** (|s||x|)``) grows with
 ``n_colors**2``, so equal-budget evolution digs a shallower hole.
+
+Every arm scores its pool through a plain
+:class:`~repro.evolution.fitness.SuiteEvaluator` over one shared
+:class:`~repro.configs.ConfigSuite`: the batch simulator reads each
+genome's colour alphabet, so the package's one block loop serves
+multicolour genomes as it serves the paper's.
 """
 
 from dataclasses import dataclass
@@ -14,44 +20,12 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.configs.suite import ConfigSuite, paper_suite
-from repro.evolution.fitness import evaluate_population
+from repro.configs.suite import paper_suite
+from repro.evolution.fitness import SuiteEvaluator
 from repro.evolution.population import Population
 from repro.experiments.report import TextTable
 from repro.extensions.multicolor import MulticolorFSM, mutate_multicolor
 from repro.grids import make_grid
-
-
-class MulticolorSuiteEvaluator:
-    """Suite evaluator for multicolour genomes (batch-simulated)."""
-
-    def __init__(self, grid, configs, t_max=200):
-        self.grid = grid
-        if not isinstance(configs, ConfigSuite):
-            configs = ConfigSuite.from_configurations(configs, grid)
-        self.configs = configs
-        self.t_max = t_max
-        self._cache = {}
-
-    def _evaluate_batch(self, fsms):
-        return evaluate_population(self.grid, fsms, self.configs,
-                                   t_max=self.t_max)
-
-    def __call__(self, fsm):
-        return self.evaluate_many([fsm])[0]
-
-    def evaluate_many(self, fsms):
-        fsms = list(fsms)
-        fresh, seen = [], set()
-        for fsm in fsms:
-            key = fsm.key()
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                fresh.append(fsm)
-        if fresh:
-            for fsm, outcome in zip(fresh, self._evaluate_batch(fresh)):
-                self._cache[fsm.key()] = outcome
-        return [self._cache[fsm.key()] for fsm in fsms]
 
 
 @dataclass(frozen=True)
@@ -80,7 +54,7 @@ def run_multicolor_comparison(
     suite = paper_suite(grid, n_agents, n_random=n_random, seed=seed)
     results = {}
     for n_colors in color_counts:
-        evaluator = MulticolorSuiteEvaluator(grid, suite, t_max=t_max)
+        evaluator = SuiteEvaluator(grid, suite, t_max=t_max)
         rng = np.random.default_rng([seed, n_colors])
         population = Population(
             evaluator,

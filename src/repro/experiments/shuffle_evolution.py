@@ -10,6 +10,12 @@ compare the best reliable fitness.
 A pair has twice the genome (a caveat the paper's own comparison shares):
 what is held equal here is the number of simulated fitness evaluations,
 i.e. compute, not genome length.
+
+Both arms score through one plain
+:class:`~repro.evolution.fitness.SuiteEvaluator`, and so through the
+package's one block loop: an :class:`FSMPair` names its own batch
+simulator, a :class:`~repro.extensions.timeshuffle.TimeShuffledBatchSimulator`
+over its halves, which the loop picks up from the genome.
 """
 
 from dataclasses import dataclass
@@ -17,9 +23,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.configs.suite import ConfigSuite, paper_suite
+from repro.configs.suite import paper_suite
 from repro.core.fsm import FSM
-from repro.evolution.fitness import batch_outcomes
+from repro.evolution.fitness import SuiteEvaluator
 from repro.evolution.genome import MutationRates, mutate
 from repro.evolution.population import Population
 from repro.experiments.report import TextTable
@@ -53,6 +59,18 @@ class FSMPair:
         return cls(FSM.random(rng, n_states=n_states),
                    FSM.random(rng, n_states=n_states))
 
+    @staticmethod
+    def batch_simulator(grid, pairs, configs, **options):
+        """The batch simulator of ``pairs``, one pair shared by every
+        lane or one per lane: the time-shuffled simulator over their even
+        and odd halves.  ``options`` are the simulator's keywords."""
+        if isinstance(pairs, FSMPair):
+            even, odd = pairs.even, pairs.odd
+        else:
+            even = [pair.even for pair in pairs]
+            odd = [pair.odd for pair in pairs]
+        return TimeShuffledBatchSimulator(grid, even, odd, configs, **options)
+
     def __repr__(self):
         return f"FSMPair({self.n_states} states)"
 
@@ -60,47 +78,6 @@ class FSMPair:
 def mutate_pair(pair, rng, rates=MutationRates()):
     """The paper's mutation applied to both halves independently."""
     return FSMPair(mutate(pair.even, rng, rates), mutate(pair.odd, rng, rates))
-
-
-class PairSuiteEvaluator:
-    """Suite evaluator for shuffled pairs (batch-simulated, cached)."""
-
-    def __init__(self, grid, configs, t_max=200):
-        self.grid = grid
-        # encoded into arrays once; each batch tiles them per pair
-        self.suite = (
-            configs if isinstance(configs, ConfigSuite)
-            else ConfigSuite.from_configurations(configs, grid)
-        )
-        self.t_max = t_max
-        self._cache = {}
-        self.evaluations = 0
-
-    def _evaluate_batch(self, pairs):
-        n_fields = len(self.suite)
-        lane_even = [pair.even for pair in pairs for _ in range(n_fields)]
-        lane_odd = [pair.odd for pair in pairs for _ in range(n_fields)]
-        batch = TimeShuffledBatchSimulator(
-            self.grid, lane_even, lane_odd, self.suite.tile(len(pairs))
-        ).run(t_max=self.t_max)
-        return batch_outcomes(batch, len(pairs))
-
-    def __call__(self, pair):
-        return self.evaluate_many([pair])[0]
-
-    def evaluate_many(self, pairs):
-        pairs = list(pairs)
-        fresh, seen = [], set()
-        for pair in pairs:
-            key = pair.key()
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                fresh.append(pair)
-        if fresh:
-            for pair, outcome in zip(fresh, self._evaluate_batch(fresh)):
-                self._cache[pair.key()] = outcome
-            self.evaluations += len(fresh)
-        return [self._cache[pair.key()] for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -127,9 +104,6 @@ def run_shuffle_evolution(
     grid = make_grid(kind, 16)
     suite = paper_suite(grid, n_agents, n_random=n_random, seed=seed)
     results = {}
-
-    from repro.evolution.fitness import SuiteEvaluator
-
     arms = {
         "single FSM (paper)": (
             SuiteEvaluator(grid, suite, t_max=t_max),
@@ -137,7 +111,7 @@ def run_shuffle_evolution(
             lambda fsm, generator: mutate(fsm, generator, MutationRates()),
         ),
         "time-shuffled pair [8]": (
-            PairSuiteEvaluator(grid, suite, t_max=t_max),
+            SuiteEvaluator(grid, suite, t_max=t_max),
             lambda generator: FSMPair.random(generator),
             mutate_pair,
         ),

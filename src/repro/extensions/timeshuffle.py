@@ -59,11 +59,12 @@ class TimeShuffledBatchSimulator(BatchSimulator):
     sets of composite tables are kept and swapped in before each step,
     so the hot loop is unchanged.  Lanes share a table row when they
     share both the even and the odd FSM object, so the two sets have the
-    same rows.
+    same rows.  ``state_scheme``, ``environment`` and ``backend`` are
+    :class:`BatchSimulator`'s.
     """
 
     def __init__(self, grid, fsm_even, fsm_odd, configs, state_scheme=None,
-                 environment=None):
+                 environment=None, backend=None):
         even_list = fsm_even if isinstance(fsm_even, (list, tuple)) else [fsm_even]
         odd_list = fsm_odd if isinstance(fsm_odd, (list, tuple)) else [fsm_odd]
         if len(even_list) != len(odd_list):
@@ -74,7 +75,7 @@ class TimeShuffledBatchSimulator(BatchSimulator):
             _check_pair(even, odd)
         self._odd_fsms = odd_list
         super().__init__(grid, fsm_even, configs, state_scheme=state_scheme,
-                         environment=environment)
+                         environment=environment, backend=backend)
         self._tables_even = (self._move_bit, self._set_color, self._next_code)
         self._tables_odd = self._compose(
             [odd_list[source] for source in self._row_sources]

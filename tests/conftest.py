@@ -196,13 +196,16 @@ class SpawnedServer:
         self.stderr = None
 
     def stop(self, timeout=30):
+        from repro.service import ClientOptions
         from repro.service.transport import TCPServiceClient
 
         if self.proc.poll() is None and self.transport == "--http":
             self.proc.terminate()
         elif self.proc.poll() is None:
             try:
-                with TCPServiceClient(self.address, timeout=10) as client:
+                with TCPServiceClient(
+                    self.address, options=ClientOptions(timeout=10)
+                ) as client:
                     client.shutdown()
             except Exception:
                 pass

@@ -141,7 +141,7 @@ class TestConnect:
         thread.start()
         assert ready.wait(30)
         host, port = bound["address"]
-        with api.connect(f"{host}:{port}") as conn:
+        with api.connect(f"tcp://{host}:{port}") as conn:
             assert conn.ping() is True
             assert conn.evaluate(**WORKLOAD) == [serial[0]]
             assert conn.shutdown() is True

@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.configs.suite import paper_suite
+from repro.core.fsm import FSM
+from repro.evolution.fitness import SuiteEvaluator, evaluate_fsm
 from repro.evolution.runner import EvolutionSettings, evolve
 from repro.experiments.campaign import CampaignSettings, run_campaign
 from repro.grids import make_grid
@@ -147,6 +149,48 @@ class TestEvolveResume:
         other = replace(TINY_EVOLUTION, seed=TINY_EVOLUTION.seed + 1)
         with pytest.raises(CheckpointError):
             evolve(grid, suite, other, resume_from=checkpoint)
+
+
+class TestEvaluatorCompatibility:
+    """Checkpoints written before evaluators took ``environment=`` hold
+    evaluators without the attribute; they load and evaluate as before."""
+
+    def test_evaluator_without_environment_evaluates_identically(self):
+        grid = make_grid("T", 6)
+        suite = paper_suite(grid, 2, n_random=3, seed=5)
+        fsms = [FSM.random(np.random.default_rng(seed)) for seed in range(4)]
+        current = SuiteEvaluator(grid, suite, t_max=60)
+        current.evaluate_many(fsms[:2])
+        old_shape = SuiteEvaluator(grid, suite, t_max=60)
+        old_shape.evaluate_many(fsms[:2])
+        del old_shape.__dict__["environment"]
+        revived = pickle.loads(pickle.dumps(old_shape))
+        assert revived.environment is None
+        assert revived._key(fsms[0]) == current._key(fsms[0])
+        assert revived.evaluate_many(fsms) == current.evaluate_many(fsms)
+        assert revived.evaluations == current.evaluations == 4
+        assert revived(fsms[3]) == evaluate_fsm(grid, fsms[3], suite, t_max=60)
+
+    def test_old_shape_checkpoint_resumes_bit_exact(self, tmp_path):
+        grid = make_grid("T", 6)
+        suite = paper_suite(grid, 2, n_random=2, seed=5)
+        full = evolve(grid, suite, TINY_EVOLUTION)
+        checkpoint = tmp_path / "run.ckpt"
+        old_shape = tmp_path / "old-shape.ckpt"
+
+        def strip_environment(record):
+            if record.generation == 3:
+                state = load_checkpoint(checkpoint, kind="evolve")
+                del state["population"].evaluator.__dict__["environment"]
+                save_checkpoint(old_shape, "evolve", state)
+
+        evolve(grid, suite, TINY_EVOLUTION, checkpoint_path=checkpoint,
+               progress=strip_environment)
+        state = load_checkpoint(old_shape, kind="evolve")
+        assert "environment" not in vars(state["population"].evaluator)
+        resumed = evolve(grid, suite, TINY_EVOLUTION, resume_from=old_shape)
+        assert resumed.history == full.history
+        assert same_fsm(resumed.best.fsm, full.best.fsm)
 
 
 class TestCampaignResume:

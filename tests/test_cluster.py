@@ -48,7 +48,7 @@ from repro.resilience.faults import (
     SITE_POOL_JOB,
     installed as faults_installed,
 )
-from repro.service import EvaluationService, TCPServiceClient
+from repro.service import ClientOptions, EvaluationService, TCPServiceClient
 from repro.service.transport import TransportError
 from repro.service.cluster import (
     Cluster,
@@ -593,7 +593,8 @@ class TestThreadFleet:
     def test_router_error_when_no_seed_responds(self):
         port = pick_free_ports(1)[0]
         with pytest.raises(RouterError):
-            RouterClient([("127.0.0.1", port)], timeout=0.5)
+            RouterClient([("127.0.0.1", port)],
+                         options=ClientOptions(timeout=0.5))
 
 
 @pytest.mark.net
@@ -627,7 +628,8 @@ class TestSubprocessFleet:
             suspected = False
             while time.monotonic() < deadline and not suspected:
                 with TCPServiceClient(
-                    cluster.nodes[0].address, timeout=5.0
+                    cluster.nodes[0].address,
+                    options=ClientOptions(timeout=5.0),
                 ) as client:
                     view = client.health()["membership"]
                 suspected = view["nodes"]["n1"]["status"] == "suspect"
@@ -637,7 +639,8 @@ class TestSubprocessFleet:
             deadline = time.monotonic() + 15.0
             while time.monotonic() < deadline:
                 with TCPServiceClient(
-                    cluster.nodes[0].address, timeout=5.0
+                    cluster.nodes[0].address,
+                    options=ClientOptions(timeout=5.0),
                 ) as client:
                     view = client.health()["membership"]
                 if all(

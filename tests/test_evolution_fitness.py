@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.configs.suite import paper_suite
+from repro.configs.suite import ConfigSuite, paper_suite
+from repro.core.environment import Environment
 from repro.core.fsm import FSM
 from repro.core.metrics import fitness as scalar_fitness
 from repro.core.published import published_fsm
 from repro.core.simulation import Simulation
 from repro.evolution.fitness import (
+    EvaluationCache,
     SuiteEvaluator,
     evaluate_fsm,
     evaluate_population,
+    evaluation_cache_key,
+    suite_fingerprint,
 )
 from repro.grids import SquareGrid
+from repro.service.cache_store import decode_key, encode_key
 
 
 @pytest.fixture
@@ -94,3 +99,71 @@ class TestSuiteEvaluator:
         via_evaluator = evaluator(fsm)
         direct = evaluate_fsm(grid, fsm, small_suite, t_max=100)
         assert via_evaluator.fitness == pytest.approx(direct.fitness)
+
+
+class TestWorldKeys:
+    """The world an evaluator runs in is part of its cache identity."""
+
+    @pytest.fixture
+    def worlds(self, small_suite):
+        grid = SquareGrid(8)
+        return grid, {
+            "cyclic": Environment.cyclic(grid),
+            "bordered": Environment(grid, bordered=True),
+            "obstacle": Environment(grid, obstacles=[(0, 0)]),
+            "carpet": Environment(grid, initial_colors=np.eye(8)),
+            "alphabet": Environment(grid, n_colors=3),
+        }
+
+    def test_bordered_and_cyclic_never_share_a_result(self, small_suite):
+        grid = SquareGrid(8)
+        cache = EvaluationCache()
+        cyclic = SuiteEvaluator(grid, small_suite, t_max=100, cache=cache)
+        bordered = SuiteEvaluator(grid, small_suite, t_max=100, cache=cache,
+                                  environment=Environment(grid, bordered=True))
+        fsm = published_fsm("S")
+        on_torus = cyclic(fsm)
+        on_walls = bordered(fsm)
+        assert cyclic.evaluations == bordered.evaluations == 1
+        assert on_walls == evaluate_fsm(
+            grid, fsm, small_suite, t_max=100,
+            environment=Environment(grid, bordered=True))
+        assert on_walls != on_torus
+        assert bordered.evaluate_many([fsm, fsm.copy()]) == [on_walls] * 2
+        assert cyclic.evaluate_many([fsm]) == [on_torus]
+        assert len(cache) == 2
+
+    def test_cyclic_keys_are_the_plain_keys(self, small_suite, worlds):
+        grid, world = worlds
+        fsm = published_fsm("S")
+        plain = (grid.kind, grid.size, small_suite.fingerprint, 100,
+                 fsm.key())
+        assert evaluation_cache_key(
+            grid, suite_fingerprint(small_suite), 100, fsm) == plain
+        for environment in (None, world["cyclic"]):
+            evaluator = SuiteEvaluator(grid, small_suite, t_max=100,
+                                       environment=environment)
+            assert evaluator._key(fsm) == plain
+
+    def test_every_decoration_keys_apart(self, small_suite, worlds):
+        grid, world = worlds
+        fsm = published_fsm("S")
+        keys = {
+            name: SuiteEvaluator(grid, small_suite, t_max=100,
+                                 environment=environment)._key(fsm)
+            for name, environment in world.items()
+        }
+        assert len(set(keys.values())) == len(keys)
+        # the same world built twice keys alike, and every key stays
+        # the 5-tuple the durable cache store writes
+        again = SuiteEvaluator(grid, small_suite, t_max=100,
+                               environment=Environment(grid, bordered=True))
+        assert again._key(fsm) == keys["bordered"]
+        for key in keys.values():
+            assert decode_key(encode_key(key)) == key
+
+    def test_list_suite_is_encoded_once(self, small_suite):
+        evaluator = SuiteEvaluator(SquareGrid(8), list(small_suite),
+                                   t_max=100)
+        assert isinstance(evaluator.suite, ConfigSuite)
+        assert evaluator.suite.fingerprint == small_suite.fingerprint

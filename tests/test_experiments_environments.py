@@ -69,8 +69,8 @@ class TestCampaign:
         assert set(small_report.table1) == {"2", "4", "8", "16", "32", "256"}
 
     def test_packed_cells_are_exact(self, small_report):
-        assert small_report.table1["256"]["t_time"] == 9.0
-        assert small_report.table1["256"]["s_time"] == 15.0
+        assert small_report.table1["256"].t_time == 9.0
+        assert small_report.table1["256"].s_time == 15.0
 
     def test_topology_formula_consistency(self, small_report):
         assert all(row["formula_consistent"] for row in small_report.topology)

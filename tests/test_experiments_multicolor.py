@@ -8,8 +8,8 @@ from repro.configs.random_configs import random_configuration
 from repro.configs.suite import ConfigSuite, paper_suite
 from repro.experiments import multicolor_exp
 from repro.core.vectorized import BatchSimulator
+from repro.evolution.fitness import SuiteEvaluator
 from repro.experiments.multicolor_exp import (
-    MulticolorSuiteEvaluator,
     format_multicolor,
     run_multicolor_comparison,
 )
@@ -61,16 +61,18 @@ class TestMulticolorEvaluator:
     def test_caches_by_genome(self, rng):
         grid = make_grid("S", 8)
         configs = [random_configuration(grid, 4, rng) for _ in range(3)]
-        evaluator = MulticolorSuiteEvaluator(grid, configs, t_max=60)
+        evaluator = SuiteEvaluator(grid, configs, t_max=60)
         fsm = MulticolorFSM.random(rng, n_colors=3)
         first = evaluator(fsm)
         second = evaluator(fsm.copy())
         assert first is second
+        assert evaluator.evaluations == 1
+        assert evaluator.evaluate_many([fsm.copy()])[0] is first
 
     def test_outcome_fields(self, rng):
         grid = make_grid("S", 8)
         configs = [random_configuration(grid, 4, rng) for _ in range(3)]
-        evaluator = MulticolorSuiteEvaluator(grid, configs, t_max=60)
+        evaluator = SuiteEvaluator(grid, configs, t_max=60)
         outcome = evaluator(MulticolorFSM.random(rng, n_colors=2))
         assert outcome.n_fields == 3
         assert 0 <= outcome.n_successful_fields <= 3
@@ -104,13 +106,13 @@ class TestColorComparison:
         settings = dict(color_counts=(2, 3), n_random=10, n_generations=2,
                         pool_size=6, t_max=80)
         seen = []
-        original = MulticolorSuiteEvaluator.__init__
 
-        def recording(evaluator, grid, configs, t_max=200):
-            seen.append(configs)
-            original(evaluator, grid, configs, t_max)
+        class Recording(SuiteEvaluator):
+            def __init__(self, grid, suite, **kwargs):
+                seen.append(suite)
+                super().__init__(grid, suite, **kwargs)
 
-        monkeypatch.setattr(MulticolorSuiteEvaluator, "__init__", recording)
+        monkeypatch.setattr(multicolor_exp, "SuiteEvaluator", Recording)
         results = run_multicolor_comparison(**settings)
         assert len(seen) == 2 and seen[0] is seen[1]
         assert isinstance(seen[0], ConfigSuite)

@@ -5,9 +5,9 @@ import pytest
 
 from repro.configs.random_configs import random_configuration
 from repro.core.fsm import FSM
+from repro.evolution.fitness import SuiteEvaluator
 from repro.experiments.shuffle_evolution import (
     FSMPair,
-    PairSuiteEvaluator,
     format_shuffle_evolution,
     mutate_pair,
     run_shuffle_evolution,
@@ -53,7 +53,7 @@ class TestPairEvaluator:
             for seed in range(4)
         ]
         pair = FSMPair.random(np.random.default_rng(3))
-        evaluator = PairSuiteEvaluator(grid, configs, t_max=100)
+        evaluator = SuiteEvaluator(grid, configs, t_max=100)
         outcome = evaluator(pair)
         successes = 0
         for config in configs:
@@ -66,11 +66,13 @@ class TestPairEvaluator:
     def test_caching(self, rng):
         grid = make_grid("S", 8)
         configs = [random_configuration(grid, 4, rng)]
-        evaluator = PairSuiteEvaluator(grid, configs, t_max=50)
+        evaluator = SuiteEvaluator(grid, configs, t_max=50)
         pair = FSMPair.random(rng)
         evaluator(pair)
         evaluator(pair.copy())
         assert evaluator.evaluations == 1
+        evaluator.evaluate_many([pair.copy(), FSMPair(pair.even, pair.even)])
+        assert evaluator.evaluations == 2  # only the new odd half is fresh
 
 
 class TestPerLanePairs:

@@ -2,17 +2,21 @@
 
 Every entry point runs :func:`repro.evolution.fitness._evaluate_blocks`,
 whose default batch holds ``32768 // k`` lanes.  Blocked runs must equal
-one monolithic batch bit for bit, and the layout of the paper's GA
-batches (4 FSMs x 1003 fields at k = 8) must not move.
+one monolithic batch bit for bit -- also for time-shuffled pairs, which
+bring their own simulator, and in an obstacle world -- and the layout of
+the paper's GA batches (4 FSMs x 1003 fields at k = 8) and of the
+bordered-world and time-shuffled GAs must not move.
 """
 
 import numpy as np
 import pytest
 
 import repro.evolution.fitness as fitness
+import repro.experiments.shuffle_evolution as shuffle_evolution
 from repro.cli import _build_service, build_parser
-from repro.configs.random_configs import random_configuration
+from repro.configs.random_configs import random_configuration, random_configurations
 from repro.configs.suite import paper_suite
+from repro.core.environment import Environment, random_obstacles
 from repro.core.fsm import FSM
 from repro.core.published import published_fsm
 from repro.core.vectorized import BatchSimulator
@@ -22,6 +26,8 @@ from repro.evolution.fitness import (
     evaluate_fsm,
     evaluate_population,
 )
+from repro.experiments.environments import run_border_evolution_comparison
+from repro.experiments.shuffle_evolution import FSMPair, run_shuffle_evolution
 from repro.grids import make_grid
 
 
@@ -32,18 +38,32 @@ def _exact(got, want):
     assert got.n_successful_fields == want.n_successful_fields
 
 
-@pytest.fixture
-def batch_lanes(monkeypatch):
-    """``(lanes, agents)`` of every batch the evaluation loop runs."""
+def _record(monkeypatch, module, name):
+    """Swap ``module.name``, a simulator class, for a subclass that
+    records the ``(lanes, agents)`` of every instance; returns the list."""
     seen = []
 
-    class Recording(BatchSimulator):
+    class Recording(getattr(module, name)):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             seen.append((self.n_lanes, self.n_agents))
 
-    monkeypatch.setattr(fitness, "BatchSimulator", Recording)
+    monkeypatch.setattr(module, name, Recording)
     return seen
+
+
+@pytest.fixture
+def batch_lanes(monkeypatch):
+    """``(lanes, agents)`` of every batch the evaluation loop runs."""
+    return _record(monkeypatch, fitness, "BatchSimulator")
+
+
+@pytest.fixture
+def pair_lanes(monkeypatch):
+    """``(lanes, agents)`` of every time-shuffled batch an
+    :class:`FSMPair` population runs."""
+    return _record(monkeypatch, shuffle_evolution,
+                   "TimeShuffledBatchSimulator")
 
 
 class TestDefaultRule:
@@ -120,6 +140,48 @@ class TestBitExact:
             _exact(got, want)
 
 
+class TestGenomesAndWorlds:
+    """Field blocks and FSM groups (3 lanes a batch: groups of 3 and 1
+    FSMs, one field each) equal one monolithic batch for a genome that
+    brings its own simulator and for a world with obstacles."""
+
+    def test_pair_population_blocked_equals_monolithic(self, pair_lanes):
+        grid = make_grid("S", 8)
+        fields = [
+            random_configuration(grid, 4, np.random.default_rng(seed))
+            for seed in range(6)
+        ]
+        pairs = [FSMPair.random(np.random.default_rng(seed))
+                 for seed in range(4)]
+        blocked = evaluate_population(grid, pairs, fields, t_max=80,
+                                      lane_block=3)
+        assert pair_lanes == [(3, 4), (1, 4)] * 6
+        monolithic = evaluate_population(grid, pairs, fields, t_max=80,
+                                         lane_block=None)
+        assert pair_lanes[-1] == (24, 4)
+        for got, want in zip(blocked, monolithic):
+            _exact(got, want)
+
+    def test_obstacle_world_blocked_equals_monolithic(self, batch_lanes):
+        grid = make_grid("T", 8)
+        world = Environment(grid, obstacles=random_obstacles(
+            grid, 6, np.random.default_rng(0)))
+        fields = random_configurations(grid, 4, 6, 1, environment=world)
+        fsms = [published_fsm("T")] + [
+            FSM.random(np.random.default_rng(seed)) for seed in range(3)
+        ]
+        blocked = evaluate_population(grid, fsms, fields, t_max=80,
+                                      lane_block=3, environment=world)
+        assert batch_lanes == [(3, 4), (1, 4)] * 6
+        monolithic = evaluate_population(grid, fsms, fields, t_max=80,
+                                         lane_block=None, environment=world)
+        for got, want in zip(blocked, monolithic):
+            _exact(got, want)
+        # the world is simulated, not ignored
+        cyclic = evaluate_population(grid, fsms, fields, t_max=80)
+        assert cyclic != monolithic
+
+
 class TestLayout:
     def test_default_batches_stay_within_the_agent_lane_budget(
             self, batch_lanes):
@@ -143,6 +205,21 @@ class TestLayout:
         fsms = [FSM.random(np.random.default_rng(seed)) for seed in range(10)]
         evaluate_population(grid, fsms, suite, t_max=2)
         assert [lanes for lanes, _ in batch_lanes] == [4012, 4012, 2006]
+
+    def test_border_ga_batches_hold_each_generations_fresh_pool(
+            self, batch_lanes):
+        # 20 FSMs, then 10 offspring a generation, over 43 k = 8 fields:
+        # well under one 4096-lane block, so one batch per call
+        run_border_evolution_comparison()
+        arm = [(860, 8)] + [(430, 8)] * 15
+        assert batch_lanes == arm + arm
+
+    def test_shuffle_ga_batches_hold_each_generations_fresh_pool(
+            self, batch_lanes, pair_lanes):
+        run_shuffle_evolution()
+        arm = [(860, 8)] + [(430, 8)] * 20
+        assert batch_lanes == arm       # single FSMs
+        assert pair_lanes == arm        # time-shuffled pairs
 
     def test_packed_cell_runs_in_field_blocks(self, batch_lanes):
         # one FSM over the packed k = 256 suite exceeds a 128-lane block

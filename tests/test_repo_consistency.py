@@ -8,6 +8,10 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: Names kept in an ``__all__`` on purpose while they are deprecated;
+#: each must still resolve, and must warn when it does.
+_DEPRECATED_NAMES = {"repro.experiments": {"Table1Row"}}
+
 
 def repo_file(name):
     return REPO_ROOT / name
@@ -32,8 +36,13 @@ class TestSubpackageExports:
     def test_all_names_resolve(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} lacks a docstring"
+        deprecated = _DEPRECATED_NAMES.get(module_name, ())
         for name in getattr(module, "__all__", []):
-            assert hasattr(module, name), f"{module_name}.{name} missing"
+            if name in deprecated:
+                with pytest.deprecated_call():
+                    assert hasattr(module, name), f"{module_name}.{name} missing"
+            else:
+                assert hasattr(module, name), f"{module_name}.{name} missing"
 
 
 class TestDocumentsExist:

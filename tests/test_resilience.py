@@ -87,6 +87,15 @@ def tiny_workload(n_fsms=2, kind="T", size=8):
     return grid, suite, fsms
 
 
+def tiny_spec(fsms, kind="T", size=8):
+    """:func:`tiny_workload`'s suite and ``fsms`` as one wire spec."""
+    return {
+        "grid": kind, "size": size, "agents": 4, "fields": 3, "seed": 5,
+        "t_max": T_MAX,
+        "fsm": [{"genome": fsm.genome().tolist()} for fsm in fsms],
+    }
+
+
 def _square(payload):
     """Worker job for the pool tests (must be module-level to pickle)."""
     return payload * payload
@@ -389,7 +398,7 @@ class TestDispatchFaults:
                 retry_policy=RetryPolicy(base_delay=0.001, seed=0),
             ))
             with faults_installed(plan) as injector:
-                outcomes = client.evaluate(grid, fsms, suite, t_max=T_MAX)
+                outcomes = client.evaluate(**tiny_spec(fsms))
             assert outcomes == serial
             assert len(injector.fired) == 1
             # the faulted attempt simulated nothing: one pass total
@@ -404,7 +413,7 @@ class TestDispatchFaults:
             bare = ServiceClient(service)
             with faults_installed(plan):
                 with pytest.raises(Exception):
-                    bare.evaluate(grid, fsms, suite, t_max=T_MAX)
+                    bare.evaluate(**tiny_spec(fsms))
 
     @hyp_settings(deadline=None, max_examples=8, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -430,7 +439,7 @@ class TestDispatchFaults:
                 ),
             ))
             with faults_installed(plan):
-                outcomes = client.evaluate(grid, fsms, suite, t_max=T_MAX)
+                outcomes = client.evaluate(**tiny_spec(fsms))
             assert outcomes == serial
             assert service.stats.simulated_fsms == len(fsms)
 

@@ -131,7 +131,8 @@ class TestServiceBitExact:
         serial = evaluate_population(grid, fsms, suite, t_max=60)
         with EvaluationService(n_workers=1) as service:
             batched = ServiceClient(service).evaluate(
-                grid, fsms, suite, t_max=60
+                grid="T", size=8, agents=4, fields=6, seed=1, t_max=60,
+                fsm=[{"genome": fsm.genome().tolist()} for fsm in fsms],
             )
         assert batched == serial
 
